@@ -34,10 +34,7 @@ from .evolution import (
 from .linalg import (
     EigenConvergenceError,
     EigenSystem,
-    adjoint,
-    frobenius_distance,
     hermitian_eigensystem,
-    matmul,
 )
 from .model import (
     CircuitParams,
@@ -46,7 +43,7 @@ from .model import (
     build_hamiltonian_explicit,
     build_hamiltonian_tensor,
     frequency_scales,
-    spectral_decompose,
+    scaled_energies,
 )
 from .scan import (
     CoherenceSeries,
@@ -79,7 +76,6 @@ __all__ = [
     "UnitaryMatrix",
     "ValidationReport",
     "__version__",
-    "adjoint",
     "analytic_propagator",
     "bell_state",
     "build_hamiltonian_explicit",
@@ -93,13 +89,11 @@ __all__ = [
     "evolve",
     "find_operating_point",
     "frequency_scales",
-    "frobenius_distance",
     "grid_scan",
     "hermitian_eigensystem",
     "l1_coherence",
-    "matmul",
     "numeric_propagator",
-    "spectral_decompose",
+    "scaled_energies",
     "time_series",
     "validate_density",
 ]

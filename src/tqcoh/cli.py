@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: evolve, series, grid, verify, optimize. Exit codes are
-stable across subcommands: 0 success, 1 usage error, 2 invariant or
-verification failure, 3 I/O failure. Data files are CSV (default) or
+stable across subcommands: 0 success, 1 usage error (including an
+infinite or NaN number), 2 invariant or verification failure, 3 I/O
+failure. Data files are CSV (default) or
 JSON; ``--out -`` writes to standard output.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,10 +68,21 @@ def _fmt_g(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: inf and nan are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--ej", type=float, default=0.5, help="Josephson energy (default 0.5)")
-    p.add_argument("--em", type=float, default=1.5, help="mutual coupling energy (default 1.5)")
-    p.add_argument("--hbar", type=float, default=1.0, help="hbar in model units (default 1)")
+    p.add_argument("--ej", type=_finite, default=0.5, help="Josephson energy (default 0.5)")
+    p.add_argument("--em", type=_finite, default=1.5, help="mutual coupling energy (default 1.5)")
+    p.add_argument("--hbar", type=_finite, default=1.0, help="hbar in model units (default 1)")
 
 
 def build_parser() -> _Parser:
@@ -80,12 +93,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="propagate one Bell state and print rho and C")
     p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
-    p.add_argument("--t", type=float, default=0.0, help="evolution time (default 0)")
+    p.add_argument("--t", type=_finite, default=0.0, help="evolution time (default 0)")
 
     p = sub.add_parser("series", help="sample C(t) on a time grid into a data file")
     p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
-    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--t-max", type=_finite, default=10.0)
     p.add_argument("--steps", type=int, default=1001)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -93,11 +106,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("grid", help="scan C over (parameter, time) into a data file")
     p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
-    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--t-max", type=_finite, default=10.0)
     p.add_argument("--steps", type=int, default=101)
     p.add_argument("--vary", choices=("ej", "em"), required=True)
-    p.add_argument("--min", type=float, required=True)
-    p.add_argument("--max", type=float, required=True)
+    p.add_argument("--min", type=_finite, required=True)
+    p.add_argument("--max", type=_finite, required=True)
     p.add_argument("--vsteps", type=int, default=101)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -110,8 +123,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="search a time window for an operating point")
     p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, default=10.0)
+    p.add_argument("--t-min", type=_finite, default=0.0)
+    p.add_argument("--t-max", type=_finite, default=10.0)
     p.add_argument("--objective", choices=("maximize", "stabilize"), default="maximize")
 
     return parser
@@ -170,12 +183,7 @@ def _write_grid(gridval: ScanGrid, args, stream):
             for j, a2 in enumerate(gridval.axis2):
                 stream.write(f"{_fmt_g(a1)},{_fmt_g(a2)},{_fmt(gridval.values[i, j])}\n")
     else:
-        col1, col2, col3 = [], [], []
-        for i, a1 in enumerate(gridval.axis1):
-            for j, a2 in enumerate(gridval.axis2):
-                col1.append(float(a1))
-                col2.append(float(a2))
-                col3.append(float(gridval.values[i, j]))
+        n1, n2 = gridval.values.shape
         doc = {
             "meta": _meta(
                 args,
@@ -191,7 +199,11 @@ def _write_grid(gridval: ScanGrid, args, stream):
                     },
                 },
             ),
-            "data": {gridval.axis1_name: col1, gridval.axis2_name: col2, "value": col3},
+            "data": {
+                gridval.axis1_name: np.repeat(gridval.axis1, n2).tolist(),
+                gridval.axis2_name: np.tile(gridval.axis2, n1).tolist(),
+                "value": gridval.values.ravel().tolist(),
+            },
         }
         json.dump(doc, stream, indent=2)
         stream.write("\n")

@@ -4,10 +4,9 @@ For a density matrix written in the fixed computational basis, the l1
 coherence is the sum of the moduli of all off-diagonal entries. It is
 zero exactly for diagonal (incoherent) states, bounded by d - 1 in
 dimension d, convex under mixing, and non-increasing under incoherent
-operations (the monotonicity properties are standard for this measure
-and are not exercised by the test suite, which has no incoherent-channel
-sampler). The reference basis is always the matrix's own index basis;
-no basis rotation is offered.
+operations (Baumgratz, Cramer & Plenio, PRL 113, 140401, 2014); the test
+suite checks each of these. The reference basis is always the matrix's
+own index basis; no basis rotation is offered.
 
 For Bell inputs the trajectory has a closed form: the stationary states
 |phi-> and |psi-> sit at 1 forever, while |phi+> and |psi+> share the
@@ -31,7 +30,7 @@ import numpy as np
 
 from .evolution import BellLabel, DensityMatrix
 from .linalg import as_complex_matrix, hermitian_eigensystem
-from .model import CircuitParams, frequency_scales
+from .model import CircuitParams, scaled_energies
 
 __all__ = [
     "CoherenceExtrema",
@@ -41,8 +40,6 @@ __all__ = [
     "l1_coherence",
     "validate_density",
 ]
-
-_DEGENERATE_ROOT = 1e-300
 
 
 class DensityMatrixError(ValueError):
@@ -98,24 +95,17 @@ def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
     """Closed-form C(t) for a Bell input.
 
     ``t`` may be a scalar (returns float) or an array (returns an array).
-    The stationary states give exactly 1. At e_j = e_m = 0 the oscillating
-    expression degenerates to 0/0 but the state is frozen, so the value is
-    defined as 1 there as well.
+    The stationary states give exactly 1, and so does e_j = e_m = 0,
+    where the state is frozen and both ratios are 0.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
-
-    e_j, e_m, hbar = params.e_j, params.e_m, params.hbar
-    # hypot keeps the scale factor alive where squaring would underflow.
-    root = math.hypot(4.0 * e_j, hbar * e_m)
-    if label.stationary or root < _DEGENERATE_ROOT:
+    if label.stationary:
         out = np.ones_like(t_arr)
         return float(out) if scalar else out
 
-    # The expression divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2:
-    # both ratios are bounded by 1, so no intermediate can under/overflow.
-    jr = e_j / root
-    mr = hbar * e_m / root
+    # The expression divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2.
+    root, jr, mr = scaled_energies(params)
     radicand = (
         jr**2
         * np.sin(0.25 * t_arr * root) ** 2
@@ -160,19 +150,18 @@ def coherence_extrema(label: BellLabel, params: CircuitParams) -> CoherenceExtre
     maximum is 1 + 16 hbar |e_j e_m| / d at half the period. The minimum
     is 1 at t = pi / omega_fast (and at 0).
     """
-    omega = frequency_scales(params).omega_fast
+    root, jr, mr = scaled_energies(params)
+    omega = 0.25 * root
     if label.stationary or omega == 0.0:
         return _CONSTANT_EXTREMA
 
-    e_j, e_m, hbar = params.e_j, params.e_m, params.hbar
     period = math.pi / omega
-    root = math.hypot(4.0 * e_j, hbar * e_m)
-    if abs(hbar * e_m) <= abs(4.0 * e_j):  # s* = d / (32 e_j^2) <= 1
-        s_star = 0.5 * (1.0 + (hbar * e_m / (4.0 * e_j)) ** 2)
+    if abs(mr) <= abs(4.0 * jr):  # s* = d / (32 e_j^2) <= 1
+        s_star = 0.5 * (1.0 + (mr / (4.0 * jr)) ** 2)
         max_value = 3.0
         t_max = math.asin(math.sqrt(s_star)) / omega
     else:
-        max_value = 1.0 + 16.0 * abs((e_j / root) * (hbar * e_m / root))
+        max_value = 1.0 + 16.0 * abs(jr * mr)
         t_max = (0.5 * math.pi) / omega
     return CoherenceExtrema(
         max_value=max_value,

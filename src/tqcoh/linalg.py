@@ -17,11 +17,8 @@ import numpy as np
 __all__ = [
     "EigenConvergenceError",
     "EigenSystem",
-    "adjoint",
     "as_complex_matrix",
-    "frobenius_distance",
     "hermitian_eigensystem",
-    "matmul",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -30,6 +27,9 @@ HERMITICITY_TOL = 1e-12
 # means the last sweep usually lands far below this.
 _OFF_FACTOR = 1e-14
 _MAX_SWEEPS = 100
+# Off-diagonal entries below the smallest normal float are set to zero:
+# apq / |apq| would divide by a subnormal and return NaN.
+_TINY = np.finfo(float).tiny
 
 
 class EigenConvergenceError(RuntimeError):
@@ -44,29 +44,6 @@ def as_complex_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square complex matrices."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T.copy()
-
-
-def frobenius_distance(a, b) -> float:
-    """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -129,7 +106,8 @@ def hermitian_eigensystem(h) -> EigenSystem:
             for q in range(p + 1, dim):
                 apq = a[p, q]
                 mag = abs(apq)
-                if mag == 0.0:
+                if mag < _TINY:
+                    a[p, q] = a[q, p] = 0.0
                     continue
                 phase = apq / mag
                 app = a[p, p].real
@@ -168,7 +146,8 @@ def hermitian_eigensystem(h) -> EigenSystem:
     # Certify before returning: eigen residual and pairwise orthonormality.
     residual = np.max(np.abs(h @ vectors - vectors * values[np.newaxis, :]))
     gram_defect = np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim)))
-    if residual > 1e-10 or gram_defect > 1e-10:
+    # Written so that a NaN residual or defect fails the certificate.
+    if not (residual <= 1e-10 and gram_defect <= 1e-10):
         raise EigenConvergenceError(
             f"eigensystem certificate failed: residual={residual:.3e}, "
             f"orthonormality defect={gram_defect:.3e}"

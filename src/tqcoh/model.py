@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EigenSystem, hermitian_eigensystem
-
 __all__ = [
     "CircuitParams",
     "FrequencyScales",
@@ -31,7 +29,7 @@ __all__ = [
     "build_hamiltonian_explicit",
     "build_hamiltonian_tensor",
     "frequency_scales",
-    "spectral_decompose",
+    "scaled_energies",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -136,21 +134,23 @@ def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
     return HamiltonianMatrix(params=params, matrix=h.astype(complex))
 
 
-def spectral_decompose(h: HamiltonianMatrix) -> EigenSystem:
-    """Eigenvalues and eigenvectors of the circuit Hamiltonian.
+def scaled_energies(params: CircuitParams) -> tuple[float, float, float]:
+    """(root, e_j / root, hbar e_m / root) with root = sqrt(16 e_j^2 + (hbar e_m)^2).
 
-    The spectrum is {+-hbar*omega_fast, +-hbar^2 e_m / 4}; the two
-    eigenvalues +-hbar^2 e_m / 4 belong (for non-degenerate spectra) to
-    the singlet-like vectors (1,0,0,-1)/sqrt(2) and (0,1,-1,0)/sqrt(2).
+    Every closed form is written in these ratios, which are bounded by 1,
+    so no intermediate under- or overflows where squaring the energies
+    would. hypot keeps root = 0 exactly equivalent to e_j = e_m = 0, and
+    there all three values are 0.
     """
-    return hermitian_eigensystem(h.matrix)
+    root = math.hypot(4.0 * params.e_j, params.hbar * params.e_m)
+    if root == 0.0:
+        return 0.0, 0.0, 0.0
+    return root, params.e_j / root, params.hbar * params.e_m / root
 
 
 def frequency_scales(params: CircuitParams) -> FrequencyScales:
     """Fast and slow frequency scales for a parameter point."""
-    # hypot avoids intermediate underflow, keeping omega_fast = 0 exactly
-    # equivalent to e_j = e_m = 0.
-    omega_fast = 0.25 * math.hypot(4.0 * params.e_j, params.hbar * params.e_m)
+    omega_fast = 0.25 * scaled_energies(params)[0]
     omega_slow = 0.5 * params.hbar * params.e_m
     period = math.pi / omega_fast if omega_fast > 0.0 else None
     return FrequencyScales(

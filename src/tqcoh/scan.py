@@ -176,7 +176,12 @@ def grid_scan(
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section search for the maximiser of f on [lo, hi]."""
+    """Golden-section search for the maximiser of f on [lo, hi].
+
+    ``tol`` is floored at a few ulps of the bracket: far from t = 0 the
+    float spacing exceeds 1e-9 and the bracket cannot shrink below it.
+    """
+    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -201,10 +206,10 @@ def find_operating_point(
 ) -> OperatingPoint:
     """Select a time inside a window that maximises or stabilises C.
 
-    maximize: the analytic in-period maximisers (and their periodic
-    copies) inside the window plus the window endpoints are compared,
-    and the best candidate is refined by golden-section search to a
-    1e-9 time resolution.
+    maximize: the earliest in-window copy of each analytic in-period
+    maximiser plus the window endpoints are compared, and the best
+    candidate is refined by golden-section search to a 1e-9 time
+    resolution (or a few ulps of t, where that is coarser).
 
     stabilize: classifies the only two freezing mechanisms the model has
     (stationary Bell state; tunnelling switched off via e_j = 0) and
@@ -251,14 +256,16 @@ def find_operating_point(
     if math.isfinite(period) and math.isfinite(ext.t_of_first_max):
         # Each period holds maxima at t_max and period - t_max (they
         # coincide when the boundary-regime maximum sits at half a period).
+        # Later copies repeat the same value, and the earliest time wins
+        # ties, so one copy per offset is enough.
         offsets = sorted({ext.t_of_first_max, period - ext.t_of_first_max})
         for offset in offsets:
             k = math.ceil((lo - offset) / period)
-            while offset + k * period <= hi:
-                point = offset + k * period
-                if point >= lo:
-                    candidates.append(point)
-                k += 1
+            point = offset + k * period
+            if point < lo:  # rounding in the ceil above
+                point = offset + (k + 1) * period
+            if point <= hi:
+                candidates.append(point)
         # A refinement bracket containing a single hump: adjacent critical
         # points are at least min(t_max, period/2 - t_max) away, except in
         # the boundary regime where the maximum is at period/2.

@@ -42,15 +42,6 @@ def hermitian_matrix_4() -> st.SearchStrategy[np.ndarray]:
     return complex_matrix_4().map(lambda m: (m + m.conj().T) / 2.0)
 
 
-def draw_validation_point(rng: np.random.Generator):
-    """One (params, t) draw from the cross-validation distribution."""
-    e_j = rng.uniform(-5.0, 5.0)
-    e_m = rng.uniform(-5.0, 5.0)
-    hbar = float(rng.choice([0.5, 1.0, 2.0]))
-    t = rng.uniform(0.0, 50.0)
-    return CircuitParams(e_j=e_j, e_m=e_m, hbar=hbar), t
-
-
 def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     """Random full-rank density matrix (normalised Wishart)."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CANONICAL_PARAMS, bell_block_spectrum, draw_validation_point, random_density
+from conftest import CANONICAL_PARAMS, bell_block_spectrum, random_density
 from tqcoh.coherence import (
     closed_form_coherence,
     coherence_extrema,
@@ -32,7 +32,14 @@ from tqcoh.evolution import (
 )
 from tqcoh.linalg import hermitian_eigensystem
 from tqcoh.model import CircuitParams, build_hamiltonian_tensor
-from tqcoh.scan import TimeGrid, cross_validate, find_operating_point, grid_scan, time_series
+from tqcoh.scan import (
+    TimeGrid,
+    _draw_parameters,
+    cross_validate,
+    find_operating_point,
+    grid_scan,
+    time_series,
+)
 
 SEED = 42
 DRAWS = 1000
@@ -46,7 +53,7 @@ def report():
 @pytest.fixture(scope="module")
 def draw_set():
     rng = np.random.default_rng(SEED)
-    return [draw_validation_point(rng) for _ in range(DRAWS)]
+    return [_draw_parameters(rng) for _ in range(DRAWS)]
 
 
 def test_criterion_01_propagator_equivalence(report):
@@ -107,7 +114,7 @@ def test_criterion_03_coherence_equivalence(report, draw_set):
 
 def test_criterion_04_stationary_states():
     rng = np.random.default_rng(SEED)
-    points = [CANONICAL_PARAMS] + [draw_validation_point(rng)[0] for _ in range(100)]
+    points = [CANONICAL_PARAMS] + [_draw_parameters(rng)[0] for _ in range(100)]
     times = np.linspace(0.0, 10.0, 1001)
     worst = 0.0
     for params in points:

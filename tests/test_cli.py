@@ -262,6 +262,42 @@ def test_optimize_rejects_empty_window(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "window",
+    [("1e8", "100000010"), ("0", "1e6")],
+    ids=["far-from-zero", "many-periods"],
+)
+def test_optimize_large_windows_finish(window):
+    # Far from t = 0 the float spacing exceeds the 1e-9 search tolerance,
+    # and a wide window holds ~1e5 periodic copies of the maximiser.
+    proc = subprocess.run(
+        [sys.executable, "-m", "tqcoh", "optimize", "--state", "phi+",
+         "--t-min", window[0], "--t-max", window[1]],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "coherence = 3.000000000000" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--state", "phi+", "--t", "inf"],
+        ["evolve", "--state", "phi+", "--ej", "nan"],
+        ["series", "--state", "phi+", "--t-max", "inf"],
+        ["grid", "--state", "phi+", "--vary", "ej", "--min", "0", "--max", "inf"],
+        ["optimize", "--state", "phi+", "--t-max", "inf"],
+        ["optimize", "--state", "phi+", "--t-min=-inf"],
+    ],
+)
+def test_non_finite_flags_are_usage_errors(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert "is not a finite number" in err
+
+
 # ------------------------------------------------------------- end to end
 
 

@@ -114,6 +114,36 @@ def test_l1_additive_over_incoherent_blocks():
     assert total == pytest.approx(parts, abs=1e-12)
 
 
+def _incoherent_kraus(rng: np.random.Generator, count: int, dim: int = 4) -> list:
+    """Kraus operators K_n = P_n diag(d_n) with sum_n K_n+ K_n = I.
+
+    P_n are random permutations and sum_n |d_n|^2 = 1 entrywise, so each
+    K_n maps basis states to basis states: an incoherent operation.
+    """
+    weights = rng.dirichlet(np.ones(count), size=dim).T
+    phases = np.exp(2j * np.pi * rng.random((count, dim)))
+    return [
+        np.eye(dim)[rng.permutation(dim)] * (np.sqrt(w) * ph)
+        for w, ph in zip(weights, phases)
+    ]
+
+
+def test_l1_monotone_under_incoherent_operations():
+    # Baumgratz, Cramer & Plenio, PRL 113, 140401 (2014).
+    rng = np.random.default_rng(19)
+    states = [random_density(rng) for _ in range(20)] + [
+        closed_form_density(BellLabel.PHI_PLUS, CANONICAL_PARAMS, t).matrix
+        for t in np.linspace(0.0, 5.0, 20)
+    ]
+    for rho in states:
+        kraus = _incoherent_kraus(rng, count=int(rng.integers(1, 5)))
+        assert np.allclose(sum(k.conj().T @ k for k in kraus), np.eye(4), atol=1e-12)
+        diagonal = np.diag(np.diag(rho))
+        assert l1_coherence(sum(k @ diagonal @ k.conj().T for k in kraus)) == 0.0
+        out = sum(k @ rho @ k.conj().T for k in kraus)
+        assert l1_coherence(out) <= l1_coherence(rho) + 1e-12
+
+
 # --------------------------------------------------------- closed-form C(t)
 
 
@@ -135,6 +165,26 @@ def test_closed_form_examples():
 
 def test_closed_form_degenerate_parameters():
     assert closed_form_coherence(BellLabel.PHI_PLUS, CircuitParams(0.0, 0.0), 3.0) == 1.0
+
+
+@pytest.mark.parametrize("e_j, e_m", [(1e160, -1e160), (-1e160, 1e160)])
+def test_closed_forms_finite_at_huge_energies(e_j, e_m):
+    # 16 e_j^2 overflows here; the closed forms only use root-normalised
+    # ratios. t * root is of order 1, so the dynamics are not trivial.
+    p = CircuitParams(e_j, e_m)
+    t = 1e-160
+    u = analytic_propagator(p, t)
+    assert np.all(np.isfinite(u.matrix))
+    for label in BellLabel:
+        closed = closed_form_coherence(label, p, t)
+        rho = closed_form_density(label, p, t)
+        assert np.all(np.isfinite(rho.matrix))
+        assert l1_coherence(rho) == pytest.approx(closed, abs=1e-12)
+        piped = l1_coherence(density_matrix(evolve(bell_state(label), u)))
+        assert piped == pytest.approx(closed, abs=1e-12)
+        ext = coherence_extrema(label, p)
+        assert math.isfinite(ext.max_value) and math.isfinite(ext.t_of_first_max)
+    assert closed_form_coherence(BellLabel.PHI_PLUS, p, t) > 2.0
 
 
 def test_closed_form_vectorised():

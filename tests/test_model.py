@@ -11,7 +11,7 @@ from tqcoh.model import (
     build_hamiltonian_explicit,
     build_hamiltonian_tensor,
     frequency_scales,
-    spectral_decompose,
+    scaled_energies,
 )
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -74,22 +74,22 @@ def test_dual_construction_equality_bulk():
         )
 
 
+def _spectrum(p: CircuitParams) -> np.ndarray:
+    return hermitian_eigensystem(build_hamiltonian_tensor(p).matrix).eigenvalues
+
+
 def test_spectral_decompose_examples():
-    eig = spectral_decompose(build_hamiltonian_tensor(CANONICAL_PARAMS))
-    assert np.allclose(eig.eigenvalues, [-0.625, -0.375, 0.375, 0.625], atol=1e-10)
-
-    eig = spectral_decompose(build_hamiltonian_tensor(CircuitParams(e_j=0.0, e_m=2.0)))
-    assert np.allclose(eig.eigenvalues, [-0.5, -0.5, 0.5, 0.5], atol=1e-10)
-
-    eig = spectral_decompose(build_hamiltonian_tensor(CircuitParams(0.0, 0.0, 2.0)))
-    assert np.array_equal(eig.eigenvalues, np.zeros(4))
+    expected = [-0.625, -0.375, 0.375, 0.625]
+    assert np.allclose(_spectrum(CANONICAL_PARAMS), expected, atol=1e-10)
+    expected = [-0.5, -0.5, 0.5, 0.5]
+    assert np.allclose(_spectrum(CircuitParams(e_j=0.0, e_m=2.0)), expected, atol=1e-10)
+    assert np.array_equal(_spectrum(CircuitParams(0.0, 0.0, 2.0)), np.zeros(4))
 
 
 @given(circuit_params())
 @settings(max_examples=150)
 def test_spectrum_matches_block_reduction(p):
-    eig = spectral_decompose(build_hamiltonian_tensor(p))
-    assert np.max(np.abs(eig.eigenvalues - bell_block_spectrum(p))) <= 1e-10
+    assert np.max(np.abs(_spectrum(p) - bell_block_spectrum(p))) <= 1e-10
 
 
 @given(circuit_params())
@@ -106,16 +106,21 @@ def test_singlet_like_states_are_eigenvectors(p):
 @given(circuit_params())
 @settings(max_examples=100)
 def test_spectrum_sign_symmetries(p):
-    base = spectral_decompose(build_hamiltonian_tensor(p)).eigenvalues
-    flipped_j = spectral_decompose(
-        build_hamiltonian_tensor(CircuitParams(-p.e_j, p.e_m, p.hbar))
-    ).eigenvalues
+    base = _spectrum(p)
+    flipped_j = _spectrum(CircuitParams(-p.e_j, p.e_m, p.hbar))
     assert np.max(np.abs(base - flipped_j)) <= 1e-10
-    flipped_m = spectral_decompose(
-        build_hamiltonian_tensor(CircuitParams(p.e_j, -p.e_m, p.hbar))
-    ).eigenvalues
+    flipped_m = _spectrum(CircuitParams(p.e_j, -p.e_m, p.hbar))
     # e_m -> -e_m maps the spectrum onto its negation (itself, sorted).
     assert np.max(np.abs(np.sort(-base) - flipped_m)) <= 1e-10
+
+
+def test_scaled_energies():
+    assert scaled_energies(CircuitParams(0.0, 0.0, 2.0)) == (0.0, 0.0, 0.0)
+    assert scaled_energies(CANONICAL_PARAMS) == (2.5, 0.2, 0.6)
+    # Squaring 1e160 overflows; the normalised ratios stay on the unit ellipse.
+    root, jr, mr = scaled_energies(CircuitParams(1e160, -1e160))
+    assert math.isfinite(root) and root > 0.0
+    assert 16.0 * jr**2 + mr**2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_frequency_scales_canonical_point():
