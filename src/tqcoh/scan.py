@@ -1,5 +1,8 @@
 """Parameter sweeps, operating points and the cross-validation harness.
 
+Operating points come from the closed-form maximisers of
+:func:`coherence_extrema`; no numerical search is involved.
+
 Everything here is deterministic: the same inputs (including the seed of
 :func:`cross_validate`) reproduce bit-identical series, grids and
 reports. Per-cell evaluations are pure functions, so execution order is
@@ -39,8 +42,6 @@ __all__ = [
     "grid_scan",
     "time_series",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 MECHANISM_EIGENSTATE = "eigenstate: stationary state, coherence constant at 1"
 MECHANISM_TUNNELLING_OFF = "tunnelling off: C constant 1"
@@ -175,77 +176,52 @@ def grid_scan(
     )
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section search for the maximiser of f on [lo, hi].
-
-    ``tol`` is floored at a few ulps of the bracket: far from t = 0 the
-    float spacing exceeds 1e-9 and the bracket cannot shrink below it.
-    """
-    tol = max(tol, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def find_operating_point(
     label: BellLabel,
     params: CircuitParams,
     t_window: tuple[float, float],
     objective: str,
 ) -> OperatingPoint:
-    """Select a time inside a window that maximises or stabilises C.
+    """Select a time inside a finite window that maximises or stabilises C.
 
-    maximize: the earliest in-window copy of each analytic in-period
-    maximiser plus the window endpoints are compared, and the best
-    candidate is refined by golden-section search to a 1e-9 time
-    resolution (or a few ulps of t, where that is coarser).
+    maximize: C depends on t only through s = sin^2(omega_fast t), and its
+    radicand is a concave quadratic in s, so every local maximum of C(t)
+    is a periodic copy of one of the two analytic maximisers t_max and
+    period - t_max (:func:`coherence_extrema`). On a closed window the
+    maximum is therefore at the earliest in-window copy of one of them or
+    at an edge. These candidates are compared directly; the earliest
+    within 1e-12 of the best value wins.
 
     stabilize: classifies the only two freezing mechanisms the model has
     (stationary Bell state; tunnelling switched off via e_j = 0) and
     reports the coherence at the window start.
     """
     lo, hi = float(t_window[0]), float(t_window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("time window must be finite")
     if not hi > lo:
         raise ValueError("empty time window")
     if objective not in ("maximize", "stabilize"):
         raise ValueError(f"unknown objective {objective!r}")
 
+    def value(t: float) -> float:
+        return closed_form_coherence(label, params, t)
+
     # e_j = 0 kills the oscillating term entirely (and covers the
     # zero-Hamiltonian case), so the trajectory is constant.
-    constant = label.stationary or params.e_j == 0.0
-    mechanism = None
     if label.stationary:
         mechanism = MECHANISM_EIGENSTATE
-    elif constant:
+    elif params.e_j == 0.0:
         mechanism = MECHANISM_TUNNELLING_OFF
-
-    if objective == "stabilize":
-        if mechanism is None:
-            mechanism = MECHANISM_NONE
+    elif objective == "stabilize":
+        mechanism = MECHANISM_NONE
+    else:
+        mechanism = None
+    if mechanism is not None:
         return OperatingPoint(
             params=params,
             t=lo,
-            coherence=closed_form_coherence(label, params, lo),
-            objective=objective,
-            mechanism=mechanism,
-        )
-
-    if constant:
-        return OperatingPoint(
-            params=params,
-            t=lo,
-            coherence=closed_form_coherence(label, params, lo),
+            coherence=value(lo),
             objective=objective,
             mechanism=mechanism,
         )
@@ -253,51 +229,30 @@ def find_operating_point(
     ext = coherence_extrema(label, params)
     period = ext.period
     candidates = [lo, hi]
-    if math.isfinite(period) and math.isfinite(ext.t_of_first_max):
-        # Each period holds maxima at t_max and period - t_max (they
-        # coincide when the boundary-regime maximum sits at half a period).
-        # Later copies repeat the same value, and the earliest time wins
-        # ties, so one copy per offset is enough.
-        offsets = sorted({ext.t_of_first_max, period - ext.t_of_first_max})
-        for offset in offsets:
+    # Each period holds maxima at t_max and period - t_max (they coincide
+    # when the boundary-regime maximum sits at half a period). Later copies
+    # repeat the same value and the earliest time wins ties, so one copy
+    # per offset is enough. Where the period overflows to inf, a finite
+    # offset is the only copy.
+    for offset in (ext.t_of_first_max, period - ext.t_of_first_max):
+        point = offset
+        if math.isfinite(period):
             k = math.ceil((lo - offset) / period)
+            if offset + k * period < lo:  # rounding in the ceil above
+                k += 1
             point = offset + k * period
-            if point < lo:  # rounding in the ceil above
-                point = offset + (k + 1) * period
-            if point <= hi:
-                candidates.append(point)
-        # A refinement bracket containing a single hump: adjacent critical
-        # points are at least min(t_max, period/2 - t_max) away, except in
-        # the boundary regime where the maximum is at period/2.
-        if len(offsets) == 2:
-            half_width = 0.9 * min(offsets[0], 0.5 * period - offsets[0])
-        else:
-            half_width = 0.45 * period
-    else:
-        # Period beyond float range: no completed oscillation anywhere;
-        # sweep the whole window.
-        half_width = hi - lo
-
-    def value(t: float) -> float:
-        return closed_form_coherence(label, params, t)
+        if lo <= point <= hi:
+            candidates.append(point)
 
     # Equal-value maxima recur every period; prefer the earliest time among
     # candidates within float noise of the best.
     best_value = max(value(c) for c in candidates)
     best = min(c for c in candidates if value(c) >= best_value - 1e-12)
-    if half_width > 0.0:
-        bracket_lo = max(lo, best - half_width)
-        bracket_hi = min(hi, best + half_width)
-        if bracket_hi > bracket_lo:
-            refined = _golden_max(value, bracket_lo, bracket_hi)
-            if value(refined) > value(best) + 1e-12:
-                best = refined
     return OperatingPoint(
         params=params,
         t=best,
         coherence=value(best),
         objective=objective,
-        mechanism=None,
     )
 
 

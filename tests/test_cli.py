@@ -268,8 +268,8 @@ def test_optimize_rejects_empty_window(capsys):
     ids=["far-from-zero", "many-periods"],
 )
 def test_optimize_large_windows_finish(window):
-    # Far from t = 0 the float spacing exceeds the 1e-9 search tolerance,
-    # and a wide window holds ~1e5 periodic copies of the maximiser.
+    # Far from t = 0 the float spacing exceeds 1e-9, and a wide window
+    # holds ~1e5 periodic copies of the maximiser; neither may slow it down.
     proc = subprocess.run(
         [sys.executable, "-m", "tqcoh", "optimize", "--state", "phi+",
          "--t-min", window[0], "--t-max", window[1]],

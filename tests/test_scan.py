@@ -165,10 +165,27 @@ def test_optimize_boundary_window():
     # point is a window edge; the left edge wins by symmetry.
     point = find_operating_point(BellLabel.PHI_PLUS, CANONICAL_PARAMS, (4.5, 5.5), "maximize")
     assert point.t == pytest.approx(4.5, abs=1e-6)
-    # Dense scan oracle over the window.
-    ts = np.arange(4.5, 5.5, 1e-4)
-    dense_max = closed_form_coherence(BellLabel.PHI_PLUS, CANONICAL_PARAMS, ts).max()
-    assert point.coherence >= dense_max - 1e-6
+
+
+@pytest.mark.parametrize("label", [BellLabel.PHI_PLUS, BellLabel.PSI_PLUS])
+@pytest.mark.parametrize(
+    "e_j, e_m, window",
+    [
+        (0.5, 1.5, (0.0, 10.0)),
+        (0.5, 1.5, (4.5, 5.5)),
+        (0.5, 1.5, (2.5, 4.0)),
+        (0.5, 4.0, (0.0, 10.0)),  # boundary regime: maximum below 3
+        (0.5, 4.0, (1.0, 2.0)),
+        (-2.3, 0.7, (0.0, 200.0)),  # many periods
+        (1.2, -4.9, (31.0, 33.5)),
+    ],
+)
+def test_optimize_matches_dense_scan(label, e_j, e_m, window):
+    params = CircuitParams(e_j, e_m)
+    point = find_operating_point(label, params, window, "maximize")
+    assert window[0] <= point.t <= window[1]
+    dense = closed_form_coherence(label, params, np.linspace(*window, 200_001))
+    assert point.coherence >= dense.max() - 1e-9
 
 
 def test_optimize_window_with_second_maximiser():
@@ -179,8 +196,22 @@ def test_optimize_window_with_second_maximiser():
 
 
 def test_optimize_rejects_empty_window():
-    with pytest.raises(ValueError, match="window"):
-        find_operating_point(BellLabel.PHI_PLUS, CANONICAL_PARAMS, (3.0, 3.0), "maximize")
+    for window in [(3.0, 3.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="window"):
+            find_operating_point(BellLabel.PHI_PLUS, CANONICAL_PARAMS, window, "maximize")
+
+
+def test_optimize_subnormal_frequencies():
+    # The period overflows to inf. At e_j = 3e-309 the maximiser does too,
+    # so C rises over the whole window and the right edge wins.
+    window = (0.0, 1e308)
+    point = find_operating_point(BellLabel.PHI_PLUS, CircuitParams(3e-309, 0.0), window, "maximize")
+    assert point.t == 1e308
+    assert format(point.coherence, ".12f") == "2.129284946790"
+    point = find_operating_point(
+        BellLabel.PHI_PLUS, CircuitParams(1e-308, 1e-308), window, "maximize"
+    )
+    assert point.coherence == pytest.approx(3.0, abs=1e-12)
 
 
 def test_stabilize_mechanisms():
