@@ -45,6 +45,10 @@ EXIT_IO = 3
 
 _STATE_CHOICES = ("phi+", "psi+", "phi-", "psi-")
 
+# Rows formatted per write by the series CSV writer. Larger blocks add
+# peak memory and were no faster at 30000 rows.
+_BLOCK_ROWS = 256
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the usage-error exit code pinned to 1."""
@@ -155,10 +159,18 @@ def _meta(args, extra: dict | None = None) -> dict:
 
 
 def _write_series(series: CoherenceSeries, args, stream):
+    gap = np.abs(series.closed_form - series.numeric)
     if args.format == "csv":
         stream.write("t,c_closed_form,c_numeric,abs_gap\n")
-        for t, c, n in zip(series.times, series.closed_form, series.numeric):
-            stream.write(f"{_fmt_g(t)},{_fmt(c)},{_fmt(n)},{_fmt(abs(c - n))}\n")
+        for lo in range(0, len(gap), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            rows = zip(
+                series.times[block].tolist(),
+                series.closed_form[block].tolist(),
+                series.numeric[block].tolist(),
+                gap[block].tolist(),
+            )
+            stream.write("".join(["%.12g,%.12f,%.12f,%.12f\n" % row for row in rows]))
     else:
         doc = {
             "meta": _meta(
@@ -169,7 +181,7 @@ def _write_series(series: CoherenceSeries, args, stream):
                 "t": series.times.tolist(),
                 "c_closed_form": series.closed_form.tolist(),
                 "c_numeric": series.numeric.tolist(),
-                "abs_gap": np.abs(series.closed_form - series.numeric).tolist(),
+                "abs_gap": gap.tolist(),
             },
         }
         json.dump(doc, stream, indent=2)
@@ -179,9 +191,10 @@ def _write_series(series: CoherenceSeries, args, stream):
 def _write_grid(gridval: ScanGrid, args, stream):
     if args.format == "csv":
         stream.write(f"{gridval.axis1_name},{gridval.axis2_name},value\n")
-        for i, a1 in enumerate(gridval.axis1):
-            for j, a2 in enumerate(gridval.axis2):
-                stream.write(f"{_fmt_g(a1)},{_fmt_g(a2)},{_fmt(gridval.values[i, j])}\n")
+        times = [f",{_fmt_g(t)}," for t in gridval.axis2]
+        for a1, row in zip(gridval.axis1, gridval.values):
+            head = _fmt_g(a1)
+            stream.write("".join([f"{head}{t}{v:.12f}\n" for t, v in zip(times, row.tolist())]))
     else:
         n1, n2 = gridval.values.shape
         doc = {

@@ -96,8 +96,9 @@ class ScanGrid:
     def __post_init__(self):
         if self.values.shape != (len(self.axis1), len(self.axis2)):
             raise ValueError("grid shape does not match its axes")
-        if self.values.min() < 0.0 or self.values.max() > 3.0 + 1e-9:
-            raise ValueError("coherence values escaped [0, 3]")
+        # Written so that NaN, which compares false, fails it too.
+        if not (self.values.min() >= 0.0 and self.values.max() <= 3.0 + 1e-9):
+            raise ValueError("coherence values escaped [0, 3] or are not finite")
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,9 @@ def time_series(
     The ``closed_form`` column evaluates the analytic expression; the
     ``numeric`` column runs the full pipeline (spectral propagator ->
     evolved state -> density matrix -> off-diagonal sum) from one
-    eigendecomposition of the Hamiltonian.
+    eigendecomposition of the Hamiltonian. Raises ``ValueError`` naming
+    the first time at which either column is not finite (the phase
+    t * |E| / hbar overflows).
     """
     times = grid.times()
     closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
@@ -131,7 +134,12 @@ def time_series(
     rho_abs[:, np.arange(4), np.arange(4)] = 0.0
     numeric = rho_abs.sum(axis=(1, 2))
 
-    gap = float(np.max(np.abs(closed - numeric)))
+    # |closed - numeric| is finite exactly when both columns are.
+    gaps = np.abs(closed - numeric)
+    finite = np.isfinite(gaps)
+    if not finite.all():
+        raise ValueError(f"coherence is not finite at t = {times[np.argmin(finite)]:.12g}")
+    gap = float(np.max(gaps))
     return CoherenceSeries(
         label=label,
         params=params,

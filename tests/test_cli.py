@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -70,6 +72,32 @@ def test_series_csv_stable_across_runs(tmp_path, capsys):
     run_cli(["series", "--state", "phi+", "--out", str(a)], capsys)
     run_cli(["series", "--state", "phi+", "--out", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+# Whole-file digests; times print as %.12g (exponent forms, negative axis
+# values and an exact 0 included) and values with 12 decimals. Computed
+# on x86-64 with numpy 2.x: a libm whose sin/cos differ by an ulp could
+# move a last printed digit.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["series", "--state", "phi+"],
+            "3d581ddce056789fdd138abaa51e9ae920805d8f44cdc4d4e3e48c836ec3d3aa",
+        ),
+        (
+            ["grid", "--state", "psi+", "--vary", "em", "--min", "-1.5", "--max", "1.5",
+             "--vsteps", "7", "--steps", "9", "--t-max", "1e-4"],
+            "1cc09f37cf872f5731125daa28c5217b2710bc9b0ac25731d36b98e84c6da418",
+        ),
+    ],
+    ids=["series", "grid"],
+)
+def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    code, _, _ = run_cli(argv + ["--out", str(out_file)], capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_series_to_stdout(capsys):
@@ -321,6 +349,51 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert out_file.read_text().splitlines()[1].startswith("0,1.000000000000")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--state", "phi+", "--ej", "5", "--t-max", "1e308", "--steps", "3"],
+        ["series", "--state", "phi+", "--ej", "5", "--t-max", "1e308", "--steps", "3",
+         "--format", "json"],
+        ["grid", "--state", "phi+", "--vary", "ej", "--min", "-1", "--max", "1",
+         "--vsteps", "3", "--steps", "3", "--t-max", "1e308"],
+    ],
+    ids=["series-csv", "series-json", "grid"],
+)
+def test_non_finite_coherence_is_an_invariant_violation(argv, tmp_path):
+    # In a subprocess: the phase overflow raises a RuntimeWarning, which
+    # this suite turns into an error in-process.
+    out_file = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tqcoh", *argv, "--out", str(out_file)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_INVARIANT
+    assert "invariant violation" in proc.stderr
+    assert not out_file.exists()
+
+
+def test_make_figure_data_script(tmp_path):
+    script = pathlib.Path(__file__).parent.parent / "scripts" / "make_figure_data.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = {
+        "coherence_vs_time.csv": ("t,c_closed_form,c_numeric,abs_gap", 1002),
+        "coherence_grid_ej.csv": ("e_j,t,value", 10202),
+        "coherence_grid_em.csv": ("e_m,t,value", 10202),
+    }
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
+    for name, (header, n_lines) in expected.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == n_lines
 
 
 def test_subprocess_usage_error_exit_code():

@@ -18,6 +18,7 @@ from tqcoh.scan import (
     MECHANISM_EIGENSTATE,
     MECHANISM_NONE,
     MECHANISM_TUNNELLING_OFF,
+    ScanGrid,
     TimeGrid,
     cross_validate,
     find_operating_point,
@@ -122,6 +123,21 @@ def test_grid_rejects_degenerate_range():
         grid_scan(
             BellLabel.PHI_PLUS, CANONICAL_PARAMS, "hbar", (0.5, 1.0, 5), TimeGrid(0.0, 1.0, 5)
         )
+
+
+def test_grid_rejects_non_finite_values():
+    axis = np.array([0.0, 1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            ScanGrid("e_j", "t", axis, axis, np.array([[1.0, 2.0], [bad, 1.0]]))
+
+
+def test_series_rejects_non_finite_coherence():
+    # t * |E| / hbar overflows at the two later grid points.
+    params = CircuitParams(e_j=5.0, e_m=1.5, hbar=1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"not finite at t = 5e\+307"):
+            time_series(BellLabel.PHI_PLUS, params, TimeGrid(0.0, 1e308, 3))
 
 
 def test_grid_series_consistency():
