@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
+_EYE4 = np.eye(4)
 
 
 class ConsistencyError(RuntimeError):
@@ -76,9 +77,9 @@ class StateVector:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {amp.shape}")
-        if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
+        if not np.isfinite(amp).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.sqrt(np.sum(np.abs(amp) ** 2)))
+        norm = math.sqrt((np.abs(amp) ** 2).sum())
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state is not normalised: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", amp)
@@ -97,7 +98,7 @@ class UnitaryMatrix:
         m = as_complex_matrix(self.matrix)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(4)))
+        defect = np.abs(m.conj().T @ m - _EYE4).max()
         # This bound also pins ||det U| - 1| below 8e-10 on a 4x4.
         if defect > 1e-10:
             raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
@@ -119,9 +120,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        if np.abs(m - m.conj().T).max() > 1e-10:
             raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m) - 1.0) > 1e-10:
+        if abs(m.trace() - 1.0) > 1e-10:
             raise ValueError("density matrix trace deviates from 1 beyond 1e-10")
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
@@ -218,7 +219,7 @@ def evolve(state: StateVector, u: UnitaryMatrix) -> StateVector:
     re-normalised.
     """
     out = u.matrix @ state.amplitudes
-    norm = float(np.sqrt(np.sum(np.abs(out) ** 2)))
+    norm = math.sqrt((np.abs(out) ** 2).sum())
     if abs(norm - 1.0) > 1e-8:
         raise ConsistencyError(f"norm drifted to {norm!r} under evolution")
     return StateVector(out)

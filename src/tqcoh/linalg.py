@@ -30,6 +30,9 @@ _MAX_SWEEPS = 100
 # Off-diagonal entries below the smallest normal float are set to zero:
 # apq / |apq| would divide by a subnormal and return NaN.
 _TINY = np.finfo(float).tiny
+# The eigen residual bound is max(1e-10, _RESIDUAL_FACTOR * ||H||_F).
+_RESIDUAL_FACTOR = 64.0 * np.finfo(float).eps
+_SQRT2 = math.sqrt(2.0)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -41,7 +44,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -64,12 +67,6 @@ class EigenSystem:
         self.eigenvectors.setflags(write=False)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part."""
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
 def hermitian_eigensystem(h) -> EigenSystem:
     """Diagonalise a Hermitian matrix by cyclic complex Jacobi rotations.
 
@@ -77,79 +74,108 @@ def hermitian_eigensystem(h) -> EigenSystem:
     deviation from its adjoint). Ties in the ascending eigenvalue sort are
     broken by original position, so the output is deterministic.
 
+    The rotations run on Python complex scalars in nested lists: for the
+    4x4 matrices of this package that is several times faster than numpy
+    slices, whose per-call overhead dwarfs the arithmetic.
+
+    The result is certified before it is returned: the eigen residual
+    max |H V - V diag(lambda)| must be at most max(1e-10, 64 eps ||H||_F)
+    (Jacobi is accurate relative to ||H||, so the bound scales with it) and
+    the orthonormality defect max |V+ V - I| at most 1e-10.
+
     Raises:
         ValueError: if the input is not Hermitian within tolerance.
         EigenConvergenceError: if the rotation sweeps fail to reach the
             off-diagonal target, or the result fails its residual /
-            orthonormality certificate. The function never silently
-            returns an unconverged answer.
+            orthonormality certificate. The message carries the sweep
+            count, final off-norm, ||H||_F, residual and defect. The
+            function never silently returns an unconverged answer.
     """
     h = as_complex_matrix(h)
     dim = h.shape[0]
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+    h_adj = h.conj().T
+    if np.abs(h - h_adj).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
 
     # Work on the exactly-Hermitian average; the shift is below tolerance.
-    a = (h + h.conj().T) / 2.0
-    v = np.eye(dim, dtype=complex)
+    a = ((h + h_adj) / 2.0).tolist()
+    v = np.eye(dim, dtype=complex).tolist()
 
-    frob = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    frob = math.hypot(*[abs(x) for row in a for x in row])
     target = _OFF_FACTOR * frob
 
     sweeps = 0
-    while _off_norm(a) > target:
-        if sweeps >= _MAX_SWEEPS:
-            raise EigenConvergenceError(
-                f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps"
-            )
+    while True:
+        # Frobenius norm of the off-diagonal part, from the upper triangle
+        # since A stays exactly Hermitian; hypot does not overflow.
+        off = _SQRT2 * math.hypot(
+            *[abs(a[i][j]) for i in range(dim - 1) for j in range(i + 1, dim)]
+        )
+        if not off > target or sweeps == _MAX_SWEEPS:
+            break
         for p in range(dim - 1):
+            row_p = a[p]
             for q in range(p + 1, dim):
-                apq = a[p, q]
+                row_q = a[q]
+                apq = row_p[q]
                 mag = abs(apq)
                 if mag < _TINY:
-                    a[p, q] = a[q, p] = 0.0
+                    row_p[q] = row_q[p] = 0j
                     continue
                 phase = apq / mag
-                app = a[p, p].real
-                aqq = a[q, q].real
+                app = row_p[p].real
+                aqq = row_q[q].real
                 theta = 0.5 * math.atan2(2.0 * mag, app - aqq)
                 c = math.cos(theta)
                 s = math.sin(theta)
+                s_phase = s * phase
+                s_conj = s * phase.conjugate()
 
-                # A <- U+ A U with the rotation acting in the (p, q) plane:
-                # U[p,p]=c, U[p,q]=-s*phase, U[q,p]=s*conj(phase), U[q,q]=c.
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
+                # A <- U+ A U and V <- V U with the rotation acting in the
+                # (p, q) plane: U[p,p]=c, U[p,q]=-s*phase,
+                # U[q,p]=s*conj(phase), U[q,q]=c. Outside the (p, q) block,
+                # rows p and q of A are the conjugates of its columns p and
+                # q (the products conjugate exactly, so A stays Hermitian).
+                for k in range(dim):
+                    if k != p and k != q:
+                        row = a[k]
+                        x, y = row[p], row[q]
+                        row[p] = new_p = c * x + s_conj * y
+                        row[q] = new_q = c * y - s_phase * x
+                        row_p[k] = new_p.conjugate()
+                        row_q[k] = new_q.conjugate()
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p] = c * x + s_conj * y
+                    row[q] = c * y - s_phase * x
                 # Exact values for the rotated 2x2 block.
-                a[p, p] = c * c * app + 2.0 * s * c * mag + s * s * aqq
-                a[q, q] = s * s * app - 2.0 * s * c * mag + c * c * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                new_p = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                new_q = -s * phase * v[:, p] + c * v[:, q]
-                v[:, p] = new_p
-                v[:, q] = new_q
+                row_p[p] = c * c * app + 2.0 * s * c * mag + s * s * aqq
+                row_q[q] = s * s * app - 2.0 * s * c * mag + c * c * aqq
+                row_p[q] = row_q[p] = 0j
         sweeps += 1
 
-    values = np.diag(a).real.copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order].copy()
+    diagonal = [a[i][i].real for i in range(dim)]
+    order = sorted(range(dim), key=diagonal.__getitem__)  # stable
+    values = np.array([diagonal[i] for i in order])
+    vectors = np.array(v)[:, order]
 
     # Certify before returning: eigen residual and pairwise orthonormality.
-    residual = np.max(np.abs(h @ vectors - vectors * values[np.newaxis, :]))
-    gram_defect = np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim)))
-    # Written so that a NaN residual or defect fails the certificate.
-    if not (residual <= 1e-10 and gram_defect <= 1e-10):
+    residual = float(np.abs(h @ vectors - vectors * values).max())
+    defect = float(np.abs(vectors.conj().T @ vectors - np.eye(dim)).max())
+    bound = max(1e-10, _RESIDUAL_FACTOR * frob)
+    # Written so that a NaN residual or defect, or an overflowing norm,
+    # fails the certificate.
+    if not (
+        off <= target and residual <= bound and defect <= 1e-10 and math.isfinite(frob)
+    ):
+        problem = (
+            "Jacobi iteration did not converge"
+            if off > target
+            else "eigensystem certificate failed"
+        )
         raise EigenConvergenceError(
-            f"eigensystem certificate failed: residual={residual:.3e}, "
-            f"orthonormality defect={gram_defect:.3e}"
+            f"{problem}: sweeps={sweeps}, off-norm={off:.3e}, "
+            f"||H||_F={frob:.3e}, residual={residual:.3e} (bound {bound:.3e}), "
+            f"orthonormality defect={defect:.3e}"
         )
     return EigenSystem(eigenvalues=values, eigenvectors=vectors)

@@ -34,7 +34,10 @@ __all__ = [
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_ID2 = np.eye(2)
+# The three Kronecker products of build_hamiltonian_tensor, formed once.
+_ZZ = np.kron(PAULI_Z, PAULI_Z)
+_XI = np.kron(PAULI_X, np.eye(2))
+_IX = np.kron(np.eye(2), PAULI_X)
 
 _ZERO_PATTERN = ((0, 3), (3, 0), (1, 2), (2, 1))
 
@@ -74,14 +77,14 @@ class HamiltonianMatrix:
         m = self.matrix
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if np.abs(m - m.conj().T).max() > 1e-12:
             raise ValueError("Hamiltonian is not Hermitian within 1e-12")
-        if np.any(m.imag != 0.0):
+        if (m.imag != 0.0).any():
             raise ValueError("Hamiltonian entries must be purely real")
         for i, j in _ZERO_PATTERN:
             if m[i, j] != 0.0:
                 raise ValueError(f"entry ({i},{j}) must be exactly zero")
-        if np.trace(m) != 0.0:
+        if m.trace() != 0.0:
             raise ValueError("Hamiltonian must be traceless")
         m.setflags(write=False)
 
@@ -107,11 +110,7 @@ def build_hamiltonian_tensor(params: CircuitParams) -> HamiltonianMatrix:
     """
     coupling = 0.25 * params.hbar * params.hbar * params.e_m
     tunnel = -0.5 * params.hbar * params.e_j
-    h = (
-        coupling * np.kron(PAULI_Z, PAULI_Z)
-        + tunnel * np.kron(PAULI_X, _ID2)
-        + tunnel * np.kron(_ID2, PAULI_X)
-    )
+    h = coupling * _ZZ + tunnel * _XI + tunnel * _IX
     return HamiltonianMatrix(params=params, matrix=h.astype(complex))
 
 

@@ -28,7 +28,7 @@ from .evolution import (
     numeric_propagator,
 )
 from .linalg import hermitian_eigensystem
-from .model import CircuitParams, build_hamiltonian_tensor
+from .model import CircuitParams, build_hamiltonian_tensor, scaled_energies
 
 __all__ = [
     "CheckResult",
@@ -112,6 +112,21 @@ class OperatingPoint:
     mechanism: str | None = None
 
 
+def _first_phase_overflow(times: np.ndarray, rate: float, hbar: float = 1.0):
+    """The first t whose phase |t| * rate / hbar is not finite, or None.
+
+    The largest |t| of the grid is tried first on Python floats, which
+    overflow to inf without a warning, so numpy never evaluates a phase
+    that overflows; the first bad t is only searched for once one does.
+    """
+    t_abs = max(abs(float(times[0])), abs(float(times[-1])))
+    if math.isfinite(t_abs * rate / hbar):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(np.abs(times) * rate / hbar)
+    return float(times[bad.argmax()])
+
+
 def time_series(
     label: BellLabel, params: CircuitParams, grid: TimeGrid
 ) -> CoherenceSeries:
@@ -121,13 +136,21 @@ def time_series(
     ``numeric`` column runs the full pipeline (spectral propagator ->
     evolved state -> density matrix -> off-diagonal sum) from one
     eigendecomposition of the Hamiltonian. Raises ``ValueError`` naming
-    the first time at which either column is not finite (the phase
-    t * |E| / hbar overflows).
+    the first time at which either column is not finite. A phase that
+    overflows (t * root in the closed form, t * |lambda| / hbar on the
+    spectral route) is caught before it is computed.
     """
     times = grid.times()
-    closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
-
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params).matrix)
+    lam_max = float(np.abs(eig.eigenvalues).max())
+    overflows = [_first_phase_overflow(times, lam_max, params.hbar)]
+    if not label.stationary:
+        overflows.append(_first_phase_overflow(times, scaled_energies(params)[0]))
+    bad_t = [t for t in overflows if t is not None]
+    if bad_t:
+        raise ValueError(f"coherence is not finite at t = {min(bad_t):.12g}")
+
+    closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
     u = _spectral_matrix(eig, params.hbar, times)
     psi = u @ bell_state(label).amplitudes
     rho_abs = np.abs(psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :])
@@ -178,6 +201,12 @@ def grid_scan(
             p = CircuitParams(e_j=value, e_m=fixed.e_m, hbar=fixed.hbar)
         else:
             p = CircuitParams(e_j=fixed.e_j, e_m=value, hbar=fixed.hbar)
+        if not label.stationary:
+            bad_t = _first_phase_overflow(axis2, scaled_energies(p)[0])
+            if bad_t is not None:
+                raise ValueError(
+                    f"coherence is not finite at t = {bad_t:.12g}, {vary} = {value:.12g}"
+                )
         values[i, :] = closed_form_coherence(label, p, axis2)
     return ScanGrid(
         axis1_name=vary, axis2_name="t", axis1=axis1, axis2=axis2, values=values
@@ -351,9 +380,9 @@ def cross_validate(draws: int, seed: int, threshold: float = 1e-9) -> Validation
         u_spectral = numeric_propagator(params, t)
 
         devs = {
-            "propagator": float(np.max(np.abs(u_closed.matrix - u_spectral.matrix))),
+            "propagator": float(np.abs(u_closed.matrix - u_spectral.matrix).max()),
             "unitarity": max(
-                float(np.max(np.abs(u.matrix.conj().T @ u.matrix - identity)))
+                float(np.abs(u.matrix.conj().T @ u.matrix - identity).max())
                 for u in (u_closed, u_spectral)
             ),
             "density": 0.0,
@@ -364,7 +393,7 @@ def cross_validate(draws: int, seed: int, threshold: float = 1e-9) -> Validation
             rho_piped = density_matrix(evolve(bell_state(label), u_spectral))
             devs["density"] = max(
                 devs["density"],
-                float(np.max(np.abs(rho_closed.matrix - rho_piped.matrix))),
+                float(np.abs(rho_closed.matrix - rho_piped.matrix).max()),
             )
             devs["coherence"] = max(
                 devs["coherence"],

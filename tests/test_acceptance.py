@@ -56,6 +56,15 @@ def draw_set():
     return [_draw_parameters(rng) for _ in range(DRAWS)]
 
 
+def test_reference_verify_report(report):
+    # `tqcoh verify --samples 1000 --seed 42`: a faster solver or batched
+    # harness must keep the verdict and the worst draw of every check.
+    assert report.passed
+    worst = {c.name: c.worst_draw for c in report.checks}
+    assert worst == {"propagator": 599, "density": 599, "coherence": 790, "unitarity": 749}
+    assert all(c.max_deviation <= 1e-12 for c in report.checks)
+
+
 def test_criterion_01_propagator_equivalence(report):
     by_name = {c.name: c for c in report.checks}
     assert by_name["propagator"].max_deviation <= 1e-10

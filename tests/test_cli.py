@@ -133,6 +133,17 @@ def test_series_json_round_trip(tmp_path, capsys):
     assert len(doc["data"]["abs_gap"]) == 5
 
 
+def test_series_at_large_energies(capsys):
+    # The eigen residual there is ~1e-9, above an absolute 1e-10 but far
+    # below the certificate's 64 eps ||H||_F.
+    code, out, err = run_cli(
+        ["series", "--state", "phi+", "--ej", "1e6", "--em", "1e6", "--steps", "3"],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    assert len(out.splitlines()) == 4
+
+
 def test_series_rejects_single_step(capsys):
     code, _, _ = run_cli(["series", "--state", "phi+", "--steps", "1"], capsys)
     assert code == EXIT_USAGE
@@ -363,8 +374,8 @@ def test_console_entry_point_subprocess(tmp_path):
     ids=["series-csv", "series-json", "grid"],
 )
 def test_non_finite_coherence_is_an_invariant_violation(argv, tmp_path):
-    # In a subprocess: the phase overflow raises a RuntimeWarning, which
-    # this suite turns into an error in-process.
+    # In a subprocess, so that any numpy RuntimeWarning reaches stderr: the
+    # overflowing phase must be rejected before numpy computes it.
     out_file = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "tqcoh", *argv, "--out", str(out_file)],
@@ -373,6 +384,8 @@ def test_non_finite_coherence_is_an_invariant_violation(argv, tmp_path):
     )
     assert proc.returncode == EXIT_INVARIANT
     assert "invariant violation" in proc.stderr
+    assert "not finite at t = 5e+307" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not out_file.exists()
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import tqcoh.linalg as linalg_module
 from conftest import bell_block_spectrum, circuit_params, hermitian_matrix_4
 from tqcoh.linalg import EigenConvergenceError, hermitian_eigensystem
-from tqcoh.model import build_hamiltonian_tensor
+from tqcoh.model import CircuitParams, build_hamiltonian_tensor
 
 
 def _subnormal_coupling() -> np.ndarray:
@@ -23,12 +24,32 @@ def test_eigensystem_diagonal_input():
 def test_eigensystem_circuit_hamiltonian():
     # Independent oracle: reduce to 2x2 blocks in the Bell basis and solve
     # the quadratic; see conftest.bell_block_spectrum.
-    from tqcoh.model import CircuitParams
-
     p = CircuitParams(e_j=0.5, e_m=1.5, hbar=1.0)
     eig = hermitian_eigensystem(build_hamiltonian_tensor(p).matrix)
     assert np.allclose(eig.eigenvalues, [-0.625, -0.375, 0.375, 0.625], atol=1e-10)
     assert np.allclose(eig.eigenvalues, bell_block_spectrum(p), atol=1e-10)
+
+
+@pytest.mark.parametrize("energy", [1e6, -1e6, 1e150, -1e150])
+def test_eigensystem_large_energies(energy):
+    # The residual grows like eps ||H||_F (8e-10 at 1e6), so the certificate
+    # must scale with ||H||_F rather than stop at an absolute 1e-10.
+    p = CircuitParams(e_j=energy, e_m=energy, hbar=1.0)
+    h = build_hamiltonian_tensor(p).matrix
+    eig = hermitian_eigensystem(h)
+    values, vectors = eig.eigenvalues, eig.eigenvectors
+    scale = np.finfo(float).eps * np.linalg.norm(h)
+    assert np.max(np.abs(values - bell_block_spectrum(p))) <= 64 * scale
+    assert np.max(np.abs(h @ vectors - vectors * values)) <= 64 * scale
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-10
+
+
+def test_eigensystem_tiny_energies():
+    # Squaring entries of 1e-300 underflows to 0; the norms must not.
+    p = CircuitParams(e_j=3e-300, e_m=-2e-300, hbar=1.0)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(p).matrix)
+    expected = np.array(bell_block_spectrum(p))
+    assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_eigensystem_zero_matrix():
@@ -107,3 +128,33 @@ def test_degenerate_eigenvalue_sort_is_deterministic():
 
 def test_convergence_error_is_distinct():
     assert issubclass(EigenConvergenceError, RuntimeError)
+
+
+_DIAGNOSTICS = (
+    r"sweeps=\d+, off-norm=\S+, \|\|H\|\|_F=\S+, residual=\S+ \(bound \S+\), "
+    r"orthonormality defect=\S+$"
+)
+
+
+def test_convergence_error_reports_diagnostics(monkeypatch):
+    h = build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5)).matrix
+    monkeypatch.setattr(linalg_module, "_MAX_SWEEPS", 1)
+    with pytest.raises(
+        EigenConvergenceError,
+        match=r"^Jacobi iteration did not converge: sweeps=1, off-norm=[1-9]\S+e-\d+, "
+        r"\|\|H\|\|_F=1\.\d+e\+00, ",
+    ) as info:
+        hermitian_eigensystem(h)
+    assert info.match(_DIAGNOSTICS)
+
+
+def test_certificate_error_reports_diagnostics(monkeypatch):
+    # Stopping the sweeps early leaves a residual far above 1e-10.
+    h = build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5)).matrix
+    monkeypatch.setattr(linalg_module, "_OFF_FACTOR", 0.5)
+    with pytest.raises(
+        EigenConvergenceError, match=r"^eigensystem certificate failed: sweeps=1, "
+    ) as info:
+        hermitian_eigensystem(h)
+    assert info.match(_DIAGNOSTICS)
+    assert "bound 1.000e-10" in str(info.value)
