@@ -5,6 +5,11 @@ stable across subcommands: 0 success, 1 usage error (including an
 infinite or NaN number), 2 invariant or verification failure, 3 I/O
 failure. Data files are CSV (default) or
 JSON; ``--out -`` writes to standard output.
+
+Give a negative number in scientific notation with ``=``, as in
+``--ej=-1e5``: argparse reads ``--ej -1e5`` as a flag without a value
+(a usage error), because it takes only plain negative numbers such as
+``-2`` or ``-0.5`` for values.
 """
 
 from __future__ import annotations
@@ -134,9 +139,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _params_from(args, parser: _Parser) -> CircuitParams:
+def _params_from(args, parser: _Parser, **override: float) -> CircuitParams:
+    values = {"e_j": args.ej, "e_m": args.em, "hbar": args.hbar, **override}
     try:
-        return CircuitParams(e_j=args.ej, e_m=args.em, hbar=args.hbar)
+        return CircuitParams(**values)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -269,14 +275,17 @@ def _cmd_series(args, parser: _Parser) -> int:
 
 
 def _cmd_grid(args, parser: _Parser) -> int:
-    params = _params_from(args, parser)
+    vary = {"ej": "e_j", "em": "e_m"}[args.vary]
+    # grid_scan replaces the varied field, and the domain check grows with
+    # |value|, so the two range ends stand for every row.
+    params = _params_from(args, parser, **{vary: args.min})
+    _params_from(args, parser, **{vary: args.max})
     if args.steps < 2 or args.vsteps < 2:
         parser.error("--steps and --vsteps must be at least 2")
     if not args.t_max > 0.0:
         parser.error("--t-max must be positive")
     if not args.max > args.min:
         parser.error("--max must exceed --min")
-    vary = {"ej": "e_j", "em": "e_m"}[args.vary]
     gridval = grid_scan(
         BellLabel(args.state),
         params,
@@ -346,8 +355,16 @@ _DISPATCH = {
 }
 
 
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # One parser per process: each parse_args call fills a new namespace,
+    # and a parser per call leaves hundreds of cyclic objects behind.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

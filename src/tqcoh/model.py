@@ -64,6 +64,20 @@ class CircuitParams:
                 raise ValueError(f"{name} must be finite")
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
+        # Every route scales the energies by these; Python floats overflow
+        # to inf without a warning, so this runs before any numpy does.
+        scales = {
+            "hbar^2 e_m / 4": 0.25 * self.hbar * self.hbar * self.e_m,
+            "hbar e_j / 2": 0.5 * self.hbar * self.e_j,
+            "hbar e_m": self.hbar * self.e_m,
+            "hypot(4 e_j, hbar e_m)": math.hypot(4.0 * self.e_j, self.hbar * self.e_m),
+        }
+        for name, value in scales.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"parameters out of range: {name} overflows"
+                    f" (e_j={self.e_j!r}, e_m={self.e_m!r}, hbar={self.hbar!r})"
+                )
 
 
 @dataclass(frozen=True)

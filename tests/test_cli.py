@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import tqcoh.cli as cli_module
 import tqcoh.scan as scan_module
 from tqcoh.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
@@ -90,8 +91,15 @@ def test_series_csv_stable_across_runs(tmp_path, capsys):
              "--vsteps", "7", "--steps", "9", "--t-max", "1e-4"],
             "1cc09f37cf872f5731125daa28c5217b2710bc9b0ac25731d36b98e84c6da418",
         ),
+        (
+            # 10000 rows: two full 4096-row blocks of the numeric column
+            # and a partial third.
+            ["series", "--state", "psi+", "--ej", "1.3", "--em=-0.7", "--hbar", "2",
+             "--t-max", "40", "--steps", "10000"],
+            "9b8f5e54b7d18751dca401fea11b2e19c5f3fbcb81f98ac083c7f9d437ace9f4",
+        ),
     ],
-    ids=["series", "grid"],
+    ids=["series", "grid", "series-three-blocks"],
 )
 def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
     out_file = tmp_path / "out.csv"
@@ -335,6 +343,75 @@ def test_non_finite_flags_are_usage_errors(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE
     assert "is not a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # hbar e_m overflows, so the period was pi / inf = 0 and the
+        # operating-point search divided by it.
+        ["optimize", "--state", "phi+", "--ej=-1.1450272672090684e-38",
+         "--em=1.697692495261378e+207", "--hbar=9.967526364410598e+213", "--t-min", "0",
+         "--t-max=6.186892202255073e+188"],
+        # hbar^2 e_m / 4 overflows inside the Hamiltonian build.
+        ["series", "--state", "phi+", "--hbar", "1e200", "--steps", "3"],
+        # A range end outside the domain; the base parameters are fine.
+        ["grid", "--state", "phi+", "--hbar", "2", "--vary", "em", "--min", "0",
+         "--max", "1e308", "--steps", "3", "--vsteps", "3"],
+    ],
+    ids=["optimize", "series", "grid"],
+)
+def test_parameters_out_of_range_are_usage_errors(argv, tmp_path):
+    out_file = tmp_path / "out"
+    if argv[0] != "optimize":
+        argv = argv + ["--out", str(out_file)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tqcoh", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "parameters out of range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out_file.exists()
+
+
+def test_grid_checks_the_range_not_the_replaced_flag(capsys):
+    argv = ["grid", "--state", "phi+", "--vary", "em", "--em", "1e308", "--hbar", "2",
+            "--min", "0", "--max", "1", "--steps", "3", "--vsteps", "3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 10
+
+
+def test_negative_scientific_numbers_need_the_equals_form(capsys):
+    code, out, _ = run_cli(["evolve", "--state", "phi+", "--ej=-1e5"], capsys)
+    assert code == EXIT_OK
+    assert "e_j=-100000 " in out
+    code, _, err = run_cli(["evolve", "--state", "phi+", "--ej", "-1e5"], capsys)
+    assert code == EXIT_USAGE
+    assert "expected one argument" in err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    build_parser, builds = cli_module.build_parser, []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli_module, "_PARSER", None)
+    monkeypatch.setattr(cli_module, "build_parser", counting_build)
+    series = ["series", "--state", "phi+", "--steps", "2", "--format", "json"]
+    metas = []
+    for argv in (series + ["--ej", "2", "--hbar", "0.5"], series, ["--version"], series):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        if argv[0] == "series":
+            metas.append(json.loads(out)["meta"]["params"])
+    assert builds == [1]
+    default = {"e_j": 0.5, "e_m": 1.5, "hbar": 1.0}
+    assert metas == [{"e_j": 2.0, "e_m": 1.5, "hbar": 0.5}, default, default]
 
 
 # ------------------------------------------------------------- end to end

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,25 @@ def test_params_validation():
         CircuitParams(e_j=float("nan"), e_m=0.0)
     p = CircuitParams(e_j=1, e_m=2)  # ints coerce
     assert isinstance(p.e_j, float) and p.hbar == 1.0
+
+
+@pytest.mark.parametrize(
+    "e_j, e_m, hbar, scale",
+    [
+        (0.5, 1.5, 1e200, "hbar^2 e_m / 4"),
+        (1e250, 0.0, 1e100, "hbar e_j / 2"),
+        (0.5, 1e308, 2.0, "hbar e_m"),
+        (1e308, 0.0, 1.0, "hypot"),
+    ],
+)
+def test_params_reject_overflowing_scales(e_j, e_m, hbar, scale):
+    with pytest.raises(ValueError, match=r"out of range: " + re.escape(scale)):
+        CircuitParams(e_j=e_j, e_m=e_m, hbar=hbar)
+
+
+def test_params_accept_large_finite_scales():
+    CircuitParams(e_j=1e307, e_m=-1e307, hbar=1.0)
+    CircuitParams(e_j=1e100, e_m=1e100, hbar=1e100)
 
 
 def test_zero_parameters_give_zero_hamiltonian():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,44 @@ def test_series_numeric_column_matches_pointwise_ops():
         u = numeric_propagator(CANONICAL_PARAMS, t)
         rho = density_matrix(evolve(bell_state(BellLabel.PSI_PLUS), u))
         assert series.numeric[k] == pytest.approx(l1_coherence(rho), abs=1e-12)
+
+
+@pytest.mark.parametrize("label", [BellLabel.PHI_PLUS, BellLabel.PSI_PLUS])
+def test_series_numeric_column_matches_full_pipeline_in_every_block(label):
+    params = CircuitParams(1.3, -0.7, 2.0)
+    block = scan_module._BLOCK_ROWS
+    steps = 3 * block + 123
+    series = time_series(label, params, TimeGrid(0.0, 40.0, steps))
+    rows = np.linspace(0, steps - 1, 20).round().astype(int)
+    assert len(set(rows // block)) == 4
+    for k in rows:
+        t = float(series.times[k])
+        rho = density_matrix(evolve(bell_state(label), numeric_propagator(params, t)))
+        assert abs(series.numeric[k] - l1_coherence(rho)) <= 1e-13
+
+
+def test_series_does_not_depend_on_block_size(monkeypatch):
+    params = CircuitParams(-2.1, 3.4, 0.5)
+    grid = TimeGrid(0.0, 50.0, 2 * scan_module._BLOCK_ROWS + 17)
+    blocked = time_series(BellLabel.PHI_PLUS, params, grid)
+    for rows in (1000, grid.steps):
+        monkeypatch.setattr(scan_module, "_BLOCK_ROWS", rows)
+        other = time_series(BellLabel.PHI_PLUS, params, grid)
+        assert np.array_equal(other.numeric, blocked.numeric)
+
+
+def test_series_memory_per_row_is_bounded():
+    # The returned columns take 24 B/row; the closed form's temporaries
+    # bring the peak to ~45 B/row. Building N x 4 x 4 propagator and
+    # density stacks instead costs ~720 B/row.
+    steps = 200_000
+    tracemalloc.start()
+    try:
+        time_series(BellLabel.PHI_PLUS, CANONICAL_PARAMS, TimeGrid(0.0, 10.0, steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / steps < 96
 
 
 # ------------------------------------------------------------------- grids
