@@ -30,7 +30,7 @@ import numpy as np
 
 from .evolution import BellLabel, DensityMatrix
 from .linalg import as_complex_matrix, hermitian_eigensystem
-from .model import CircuitParams, scaled_energies
+from .model import CircuitParams, check_phase, scaled_energies
 
 __all__ = [
     "CoherenceExtrema",
@@ -38,6 +38,7 @@ __all__ = [
     "closed_form_coherence",
     "coherence_extrema",
     "l1_coherence",
+    "off_diagonal_l1",
     "validate_density",
 ]
 
@@ -86,9 +87,15 @@ def l1_coherence(rho) -> float:
     """
     if not isinstance(rho, DensityMatrix):
         rho = validate_density(rho)
-    off = np.abs(rho.matrix).copy()
-    np.fill_diagonal(off, 0.0)
-    return float(off.sum())
+    return float(off_diagonal_l1(rho.matrix))
+
+
+def off_diagonal_l1(m) -> np.ndarray:
+    """Sum of |m_ij| over i != j in the last two axes, for one matrix or a stack."""
+    off = np.abs(m)
+    diag = np.arange(off.shape[-1])
+    off[..., diag, diag] = 0.0
+    return off.sum(axis=(-2, -1))
 
 
 def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
@@ -96,7 +103,9 @@ def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
 
     ``t`` may be a scalar (returns float) or an array (returns an array).
     The stationary states give exactly 1, and so does e_j = e_m = 0,
-    where the state is frozen and both ratios are 0.
+    where the state is frozen and both ratios are 0. For the oscillating
+    states the phase t root is checked first, so a t at which it
+    overflows raises ``ValueError`` instead of giving NaN.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -106,6 +115,7 @@ def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
 
     # The expression divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2.
     root, jr, mr = scaled_energies(params)
+    check_phase(params, t_arr, root)
     radicand = (
         jr**2
         * np.sin(0.25 * t_arr * root) ** 2

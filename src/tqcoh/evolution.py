@@ -10,7 +10,9 @@ independent routes:
   :func:`tqcoh.model.scaled_energies`, so it stays finite at huge
   energies and gives the identity at e_j = e_m = 0 without a special case;
 * :func:`numeric_propagator` synthesises U(t) from the spectral
-  decomposition, U = sum_j exp(-i lambda_j t / hbar) |v_j><v_j|.
+  decomposition, U = sum_j exp(-i lambda_j t / hbar) |v_j><v_j|, with the
+  spectral kernel :func:`spectral_rows`. Each route checks its phase
+  with :func:`tqcoh.model.check_phase` before numpy forms it.
 
 On top of these sit the four Bell states, their propagated density
 matrices, and the closed-form density trajectories for each Bell input.
@@ -28,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EigenSystem, as_complex_matrix, hermitian_eigensystem
-from .model import CircuitParams, HamiltonianMatrix, build_hamiltonian_tensor, scaled_energies
+from .model import (
+    CircuitParams,
+    HamiltonianMatrix,
+    build_hamiltonian_tensor,
+    check_phase,
+    scaled_energies,
+)
 
 __all__ = [
     "BellLabel",
@@ -43,6 +51,7 @@ __all__ = [
     "eigenstate_check",
     "evolve",
     "numeric_propagator",
+    "spectral_rows",
 ]
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -151,14 +160,16 @@ def _propagator_elements(params: CircuitParams, t):
     Returns (u11, u12, u14, u22, u23) where u11 also fills position (4,4),
     u12 fills the eight equal off-block positions, u14 fills (4,1), u22
     fills (3,3) and u23 fills (3,2). ``t`` may be a scalar or an array;
-    the elements broadcast accordingly.
+    the elements broadcast accordingly. The slow phase t hbar e_m / 4 is
+    at most the fast one t root / 4, so one check covers both.
     """
     root, jr, mr = scaled_energies(params)
+    check_phase(params, t, root)
     t = np.asarray(t, dtype=float)
     sf = np.sin(0.25 * t * root)
     cf = np.cos(0.25 * t * root)
-    ss = np.sin(0.25 * t * params.hbar * params.e_m)
-    cs = np.cos(0.25 * t * params.hbar * params.e_m)
+    ss = np.sin(0.25 * t * (params.hbar * params.e_m))
+    cs = np.cos(0.25 * t * (params.hbar * params.e_m))
 
     u11 = -0.5j * mr * sf + 0.5 * cf - 0.5j * ss + 0.5 * cs
     u12 = 2.0j * jr * sf
@@ -182,19 +193,22 @@ def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
 
 def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     """Closed-form U(t), element by element."""
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
     matrix = _assemble_propagator(*_propagator_elements(params, float(t)))
     return UnitaryMatrix(matrix=matrix, time=float(t), params=params)
 
 
-def _spectral_matrix(eig: EigenSystem, hbar: float, t) -> np.ndarray:
-    """U(t) = V diag(exp(-i lambda t / hbar)) V+ for scalar or array t."""
+def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndarray:
+    """(exp(-i lambda t / hbar) * coeffs) @ V^T for scalar or array t.
+
+    With ``coeffs`` = V+ psi0 the rows are psi(t); with ``coeffs`` =
+    conj(V) and scalar t the result is U(t)^T. The eigenvalues ascend, so
+    the largest |lambda| of the phase check is at one of the ends.
+    """
+    values = eig.eigenvalues
+    check_phase(params, t, max(-float(values[0]), float(values[-1])), params.hbar)
     t = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * t[..., np.newaxis] * eig.eigenvalues / hbar)
-    return np.einsum(
-        "ik,...k,jk->...ij", eig.eigenvectors, phases, eig.eigenvectors.conj()
-    )
+    phases = np.exp(-1j * t[..., np.newaxis] * values / params.hbar)
+    return (phases * coeffs) @ eig.eigenvectors.T
 
 
 def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
@@ -204,11 +218,9 @@ def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     Hamiltonian parameters, so agreement between the two is a genuine
     cross-validation of the closed forms.
     """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
     h = build_hamiltonian_tensor(params)
     eig = hermitian_eigensystem(h.matrix)
-    matrix = _spectral_matrix(eig, params.hbar, float(t))
+    matrix = spectral_rows(eig, params, float(t), eig.eigenvectors.conj()).T
     return UnitaryMatrix(matrix=matrix, time=float(t), params=params)
 
 
@@ -264,16 +276,15 @@ def closed_form_density(
     |phi-> and |psi-> only pick up a global phase, so their matrices are
     constant. For |phi+> and |psi+> the sixteen entries are built from the
     derived trigonometric expressions; at e_j = e_m = 0 they give
-    rho(t) = rho(0).
+    rho(t) = rho(0). The phase t root / 4 is checked for every label.
     """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
+    root, jr, mr = scaled_energies(params)
+    check_phase(params, t, root)
     if label is BellLabel.PHI_MINUS:
         return DensityMatrix(_PHI_MINUS_RHO.copy())
     if label is BellLabel.PSI_MINUS:
         return DensityMatrix(_PSI_MINUS_RHO.copy())
 
-    root, jr, mr = scaled_energies(params)
     sf = math.sin(0.25 * t * root)
     cf = math.cos(0.25 * t * root)
     corner = mr**2 * sf**2 / 2.0 + 0.5 * cf**2

@@ -28,6 +28,7 @@ __all__ = [
     "PAULI_Z",
     "build_hamiltonian_explicit",
     "build_hamiltonian_tensor",
+    "check_phase",
     "frequency_scales",
     "scaled_energies",
 ]
@@ -66,10 +67,12 @@ class CircuitParams:
             raise ValueError("hbar must be positive")
         # Every route scales the energies by these; Python floats overflow
         # to inf without a warning, so this runs before any numpy does.
+        # hbar e_m comes first: it is a factor of hbar^2 e_m / 4.
         scales = {
-            "hbar^2 e_m / 4": 0.25 * self.hbar * self.hbar * self.e_m,
-            "hbar e_j / 2": 0.5 * self.hbar * self.e_j,
             "hbar e_m": self.hbar * self.e_m,
+            "hbar^2 e_m / 4": 0.25 * self.hbar * (self.hbar * self.e_m),
+            "hbar e_j / 2": 0.5 * self.hbar * self.e_j,
+            "1 / hbar": 1.0 / self.hbar,
             "hypot(4 e_j, hbar e_m)": math.hypot(4.0 * self.e_j, self.hbar * self.e_m),
         }
         for name, value in scales.items():
@@ -122,7 +125,7 @@ def build_hamiltonian_tensor(params: CircuitParams) -> HamiltonianMatrix:
 
     H = (hbar^2 e_m / 4) sz(x)sz - (hbar e_j / 2) sx(x)I - (hbar e_j / 2) I(x)sx
     """
-    coupling = 0.25 * params.hbar * params.hbar * params.e_m
+    coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
     tunnel = -0.5 * params.hbar * params.e_j
     h = coupling * _ZZ + tunnel * _XI + tunnel * _IX
     return HamiltonianMatrix(params=params, matrix=h.astype(complex))
@@ -134,7 +137,7 @@ def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
     This must match :func:`build_hamiltonian_tensor` exactly; the two
     constructions cross-check each other.
     """
-    coupling = 0.25 * params.hbar * params.hbar * params.e_m
+    coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
     tunnel = -0.5 * params.hbar * params.e_j
     h = np.array(
         [
@@ -168,4 +171,26 @@ def frequency_scales(params: CircuitParams) -> FrequencyScales:
     period = math.pi / omega_fast if omega_fast > 0.0 else None
     return FrequencyScales(
         omega_fast=omega_fast, omega_slow=omega_slow, period_fast=period
+    )
+
+
+def check_phase(params: CircuitParams, t, rate: float, hbar: float = 1.0) -> None:
+    """Raise ValueError unless the phase |t| * rate / hbar is finite for every t.
+
+    Each route calls this before numpy forms its phase. A scalar t is
+    checked on Python floats, which overflow to inf without a warning; an
+    array takes one max reduction. An inf or NaN t always fails.
+    """
+    # numpy divides a complex phase by hbar as a product with 1 / hbar.
+    inverse = 1.0 / hbar
+    array = isinstance(t, np.ndarray) and t.ndim > 0
+    t_abs = float(np.abs(t).max(initial=0.0)) if array else abs(float(t))
+    if math.isfinite(t_abs * rate * inverse):
+        return
+    if array:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = t.flat[np.argmin(np.isfinite(np.abs(t) * rate * inverse))]
+    raise ValueError(
+        f"coherence is not finite at t = {float(t):.12g}"
+        f" (e_j={params.e_j!r}, e_m={params.e_m!r}, hbar={params.hbar!r})"
     )

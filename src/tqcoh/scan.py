@@ -3,6 +3,9 @@
 Operating points come from the closed-form maximisers of
 :func:`coherence_extrema`; no numerical search is involved.
 
+This module only orchestrates: each phase and its overflow check, the
+spectral synthesis and the l1 sum belong to the routes it calls.
+
 Everything here is deterministic: the same inputs (including the seed of
 :func:`cross_validate`) reproduce bit-identical series, grids and
 reports. Per-cell evaluations are pure functions, so execution order is
@@ -12,11 +15,11 @@ irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coherence import closed_form_coherence, coherence_extrema, l1_coherence
+from .coherence import closed_form_coherence, coherence_extrema, l1_coherence, off_diagonal_l1
 from .evolution import (
     BellLabel,
     analytic_propagator,
@@ -25,9 +28,10 @@ from .evolution import (
     density_matrix,
     evolve,
     numeric_propagator,
+    spectral_rows,
 )
 from .linalg import hermitian_eigensystem
-from .model import CircuitParams, build_hamiltonian_tensor, scaled_energies
+from .model import CircuitParams, build_hamiltonian_tensor, check_phase, scaled_energies
 
 __all__ = [
     "CheckResult",
@@ -116,21 +120,6 @@ class OperatingPoint:
     mechanism: str | None = None
 
 
-def _first_phase_overflow(times: np.ndarray, rate: float, hbar: float = 1.0):
-    """The first t whose phase |t| * rate / hbar is not finite, or None.
-
-    The largest |t| of the grid is tried first on Python floats, which
-    overflow to inf without a warning, so numpy never evaluates a phase
-    that overflows; the first bad t is only searched for once one does.
-    """
-    t_abs = max(abs(float(times[0])), abs(float(times[-1])))
-    if math.isfinite(t_abs * rate / hbar):
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(np.abs(times) * rate / hbar)
-    return float(times[bad.argmax()])
-
-
 def time_series(
     label: BellLabel, params: CircuitParams, grid: TimeGrid
 ) -> CoherenceSeries:
@@ -139,36 +128,23 @@ def time_series(
     The ``closed_form`` column evaluates the analytic expression. The
     ``numeric`` column applies the spectral propagator to the Bell state,
     psi(t) = V (exp(-i lambda t / hbar) * V+ psi0), from one Jacobi
-    eigendecomposition of the Hamiltonian, and sums |psi_i psi_j*| over
-    i != j. It is computed in blocks of ``_BLOCK_ROWS`` rows, so beyond
-    the returned columns memory stays O(block); no N x 4 x 4 propagator
-    or density stack is formed. Raises ``ValueError`` naming the first
-    time at which either column is not finite. A phase that overflows
-    (t * root in the closed form, t * |lambda| / hbar on the spectral
-    route) is caught before it is computed.
+    eigendecomposition of the Hamiltonian (:func:`spectral_rows`), and
+    sums |psi_i psi_j*| over i != j (:func:`off_diagonal_l1`). It is
+    computed in blocks of ``_BLOCK_ROWS`` rows, so beyond the returned
+    columns memory stays O(block); no N x 4 x 4 propagator or density
+    stack is formed. Raises ``ValueError`` naming the first time at which
+    either column is not finite; each route rejects a phase that would
+    overflow before it is computed.
     """
     times = grid.times()
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params).matrix)
-    lam_max = float(np.abs(eig.eigenvalues).max())
-    overflows = [_first_phase_overflow(times, lam_max, params.hbar)]
-    if not label.stationary:
-        overflows.append(_first_phase_overflow(times, scaled_energies(params)[0]))
-    bad_t = [t for t in overflows if t is not None]
-    if bad_t:
-        raise ValueError(f"coherence is not finite at t = {min(bad_t):.12g}")
-
     closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
-    v = eig.eigenvectors
-    coeffs = v.conj().T @ bell_state(label).amplitudes
-    v_t = v.T
+    coeffs = eig.eigenvectors.conj().T @ bell_state(label).amplitudes
     numeric = np.empty_like(times)
     for lo in range(0, len(times), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        phases = np.exp(-1j * times[block, np.newaxis] * eig.eigenvalues / params.hbar)
-        psi = (phases * coeffs) @ v_t
-        rho_abs = np.abs(psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :])
-        rho_abs[:, np.arange(4), np.arange(4)] = 0.0
-        numeric[block] = rho_abs.sum(axis=(1, 2))
+        psi = spectral_rows(eig, params, times[block], coeffs)
+        numeric[block] = off_diagonal_l1(psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :])
 
     # |closed - numeric| is finite exactly when both columns are.
     gaps = np.abs(closed - numeric)
@@ -214,12 +190,6 @@ def grid_scan(
             p = CircuitParams(e_j=value, e_m=fixed.e_m, hbar=fixed.hbar)
         else:
             p = CircuitParams(e_j=fixed.e_j, e_m=value, hbar=fixed.hbar)
-        if not label.stationary:
-            bad_t = _first_phase_overflow(axis2, scaled_energies(p)[0])
-            if bad_t is not None:
-                raise ValueError(
-                    f"coherence is not finite at t = {bad_t:.12g}, {vary} = {value:.12g}"
-                )
         values[i, :] = closed_form_coherence(label, p, axis2)
     return ScanGrid(
         axis1_name=vary, axis2_name="t", axis1=axis1, axis2=axis2, values=values
@@ -276,6 +246,9 @@ def find_operating_point(
             mechanism=mechanism,
         )
 
+    # A window edge whose phase overflows would overflow the copy index
+    # below; reject it as the closed form would.
+    check_phase(params, np.array([lo, hi]), scaled_energies(params)[0])
     ext = coherence_extrema(label, params)
     period = ext.period
     candidates = [lo, hi]
@@ -316,19 +289,6 @@ class CheckResult:
     worst_params: CircuitParams
     worst_time: float
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_deviation": self.max_deviation,
-            "worst_draw": self.worst_draw,
-            "worst_params": {
-                "e_j": self.worst_params.e_j,
-                "e_m": self.worst_params.e_m,
-                "hbar": self.worst_params.hbar,
-            },
-            "worst_time": self.worst_time,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -342,14 +302,7 @@ class ValidationReport:
     worst_check: str
 
     def as_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "checks": [c.as_dict() for c in self.checks],
-            "passed": self.passed,
-            "worst_check": self.worst_check,
-        }
+        return asdict(self)
 
 
 def _draw_parameters(rng: np.random.Generator) -> tuple[CircuitParams, float]:

@@ -376,6 +376,22 @@ def test_parameters_out_of_range_are_usage_errors(argv, tmp_path):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # hbar^2 overflows, but the coupling hbar (hbar e_m) / 4 is 0 ...
+        ["optimize", "--state", "phi+", "--hbar", "3e154", "--ej", "1", "--em", "0"],
+        # ... or 2.5e199: the product decides, not its first factor.
+        ["optimize", "--state", "phi+", "--hbar", "1e200", "--em", "1e-200"],
+    ],
+    ids=["coupling-zero", "coupling-finite"],
+)
+def test_coupling_overflow_is_judged_on_the_product(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert "coherence = " in out
+
+
 def test_grid_checks_the_range_not_the_replaced_flag(capsys):
     argv = ["grid", "--state", "phi+", "--vary", "em", "--em", "1e308", "--hbar", "2",
             "--min", "0", "--max", "1", "--steps", "3", "--vsteps", "3"]
@@ -440,29 +456,39 @@ def test_console_entry_point_subprocess(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, bad_t",
     [
-        ["series", "--state", "phi+", "--ej", "5", "--t-max", "1e308", "--steps", "3"],
-        ["series", "--state", "phi+", "--ej", "5", "--t-max", "1e308", "--steps", "3",
-         "--format", "json"],
-        ["grid", "--state", "phi+", "--vary", "ej", "--min", "-1", "--max", "1",
-         "--vsteps", "3", "--steps", "3", "--t-max", "1e308"],
+        (["series", "--state", "phi+", "--ej", "5", "--t-max", "1e308", "--steps", "3"],
+         "5e+307 (e_j=5.0, e_m=1.5, hbar=1.0)"),
+        (["series", "--state", "phi+", "--ej", "5", "--t-max", "1e308", "--steps", "3",
+          "--format", "json"], "5e+307"),
+        (["grid", "--state", "phi+", "--vary", "ej", "--min", "-1", "--max", "1",
+          "--vsteps", "3", "--steps", "3", "--t-max", "1e308"],
+         "5e+307 (e_j=-1.0, e_m=1.5, hbar=1.0)"),
+        (["evolve", "--state", "phi+", "--ej", "5", "--t", "1e308"], "1e+308"),
+        (["optimize", "--state", "phi+", "--t-max", "1e308"], "1e+308"),
+        # Far window: the copy index of the maximiser overflowed (an
+        # uncaught OverflowError, exit 1).
+        (["optimize", "--state", "phi+", "--ej", "1e10", "--t-min", "1e300",
+          "--t-max", "1e301"], "1e+300 (e_j=10000000000.0"),
     ],
-    ids=["series-csv", "series-json", "grid"],
+    ids=["series-csv", "series-json", "grid", "evolve", "optimize", "optimize-far-window"],
 )
-def test_non_finite_coherence_is_an_invariant_violation(argv, tmp_path):
+def test_non_finite_coherence_is_an_invariant_violation(argv, bad_t, tmp_path):
     # In a subprocess, so that any numpy RuntimeWarning reaches stderr: the
     # overflowing phase must be rejected before numpy computes it.
     out_file = tmp_path / "out"
+    if argv[0] in ("series", "grid"):
+        argv = argv + ["--out", str(out_file)]
     proc = subprocess.run(
-        [sys.executable, "-m", "tqcoh", *argv, "--out", str(out_file)],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "tqcoh", *argv], capture_output=True, text=True
     )
     assert proc.returncode == EXIT_INVARIANT
     assert "invariant violation" in proc.stderr
-    assert "not finite at t = 5e+307" in proc.stderr
+    assert f"not finite at t = {bad_t}" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
     assert not out_file.exists()
 
 

@@ -10,6 +10,7 @@ from tqcoh.coherence import (
     closed_form_coherence,
     coherence_extrema,
     l1_coherence,
+    off_diagonal_l1,
     validate_density,
 )
 from tqcoh.evolution import (
@@ -62,6 +63,19 @@ def test_l1_examples():
     )
     flat = np.full((4, 4), 0.25, dtype=complex)
     assert l1_coherence(flat) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_off_diagonal_l1_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(3)
+    stack = np.array([random_density(rng) for _ in range(5)])
+    before = stack.copy()
+    sums = off_diagonal_l1(stack)
+    assert sums.shape == (5,)
+    for rho, value in zip(stack, sums):
+        assert value == l1_coherence(rho)
+        reference = sum(abs(rho[i, j]) for i in range(4) for j in range(4) if i != j)
+        assert value == pytest.approx(reference, rel=1e-15)
+    assert np.array_equal(stack, before)  # the input is not modified
 
 
 def test_l1_rejects_invalid_input():

@@ -11,6 +11,7 @@ from tqcoh.model import (
     CircuitParams,
     build_hamiltonian_explicit,
     build_hamiltonian_tensor,
+    check_phase,
     frequency_scales,
     scaled_energies,
 )
@@ -34,6 +35,7 @@ def test_params_validation():
         (1e250, 0.0, 1e100, "hbar e_j / 2"),
         (0.5, 1e308, 2.0, "hbar e_m"),
         (1e308, 0.0, 1.0, "hypot"),
+        (0.5, 1.5, 1e-309, "1 / hbar"),
     ],
 )
 def test_params_reject_overflowing_scales(e_j, e_m, hbar, scale):
@@ -132,6 +134,27 @@ def test_spectrum_sign_symmetries(p):
     flipped_m = _spectrum(CircuitParams(p.e_j, -p.e_m, p.hbar))
     # e_m -> -e_m maps the spectrum onto its negation (itself, sorted).
     assert np.max(np.abs(np.sort(-base) - flipped_m)) <= 1e-10
+
+
+def test_check_phase():
+    p = CircuitParams(e_j=5.0, e_m=1.5, hbar=2.0)
+    check_phase(p, 1e307, 10.0)
+    check_phase(p, np.array([0.0, -1e307]), 10.0)
+    check_phase(p, 1e300, 1e8, 2.0)  # 5e307 after dividing by hbar
+    message = r"not finite at t = {} \(e_j=5\.0, e_m=1\.5, hbar=2\.0\)"
+    with pytest.raises(ValueError, match=message.format(r"-1e\+308")):
+        check_phase(p, -1e308, 10.0)
+    # Arrays name their first bad t; no RuntimeWarning (an error here).
+    with pytest.raises(ValueError, match=message.format(r"5e\+307")):
+        check_phase(p, np.array([0.0, 5e307, 1e308]), 10.0)
+    # The product t * rate overflows first, as in numpy's phase.
+    with pytest.raises(ValueError, match=message.format(r"1e\+300")):
+        check_phase(p, 1e300, 1e10, 1e10)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=message.format(str(bad))):
+            check_phase(p, bad, 0.0)
+        with pytest.raises(ValueError, match=message.format(str(bad))):
+            check_phase(p, np.array([1.0, bad]), 0.0)
 
 
 def test_scaled_energies():

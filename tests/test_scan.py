@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,9 @@ from conftest import CANONICAL_PARAMS
 from tqcoh.coherence import closed_form_coherence, l1_coherence
 from tqcoh.evolution import (
     BellLabel,
+    analytic_propagator,
     bell_state,
+    closed_form_density,
     density_matrix,
     evolve,
     numeric_propagator,
@@ -178,6 +181,37 @@ def test_series_rejects_non_finite_coherence():
     params = CircuitParams(e_j=5.0, e_m=1.5, hbar=1.0)
     with pytest.raises(ValueError, match=r"not finite at t = 5e\+307"):
         time_series(BellLabel.PHI_PLUS, params, TimeGrid(0.0, 1e308, 3))
+
+
+_HOT = CircuitParams(e_j=5.0, e_m=1.5)
+_HOT_TIMES = np.array([0.0, 1e308])
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: analytic_propagator(_HOT, 1e308),
+        lambda: numeric_propagator(_HOT, 1e308),
+        lambda: closed_form_density(BellLabel.PSI_PLUS, _HOT, 1e308),
+        lambda: closed_form_density(BellLabel.PHI_MINUS, _HOT, 1e308),
+        lambda: closed_form_coherence(BellLabel.PHI_PLUS, _HOT, 1e308),
+        lambda: closed_form_coherence(BellLabel.PSI_PLUS, _HOT, _HOT_TIMES),
+        lambda: time_series(BellLabel.PHI_MINUS, _HOT, TimeGrid(0.0, 1e308, 2)),
+        lambda: grid_scan(BellLabel.PHI_PLUS, _HOT, "e_m", (1.5, 2.0, 2), TimeGrid(0.0, 1e308, 2)),
+        lambda: find_operating_point(BellLabel.PHI_PLUS, _HOT, (1e308, 1.5e308), "maximize"),
+    ],
+    ids=["analytic-propagator", "numeric-propagator", "density", "density-stationary",
+         "coherence", "coherence-array", "series-stationary", "grid", "optimize"],
+)
+def test_every_route_checks_its_own_phase(route):
+    # No errstate: numpy never sees the overflowing phase.
+    with pytest.raises(ValueError, match=re.escape("not finite at t = 1e+308 (e_j=5.0, ")):
+        route()
+
+
+def test_stationary_coherence_forms_no_phase():
+    assert closed_form_coherence(BellLabel.PHI_MINUS, _HOT, 1e308) == 1.0
+    assert np.array_equal(closed_form_coherence(BellLabel.PSI_MINUS, _HOT, _HOT_TIMES), [1, 1])
 
 
 def test_grid_series_consistency():
