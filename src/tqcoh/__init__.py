@@ -19,7 +19,6 @@ from .coherence import (
 )
 from .evolution import (
     BellLabel,
-    ConsistencyError,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
@@ -62,7 +61,6 @@ __all__ = [
     "CircuitParams",
     "CoherenceExtrema",
     "CoherenceSeries",
-    "ConsistencyError",
     "DensityMatrix",
     "DensityMatrixError",
     "EigenConvergenceError",

@@ -22,15 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coherence import DensityMatrixError, closed_form_coherence, l1_coherence
-from .evolution import (
-    BellLabel,
-    ConsistencyError,
-    analytic_propagator,
-    bell_state,
-    density_matrix,
-    evolve,
-)
+from .coherence import closed_form_coherence, l1_coherence
+from .evolution import BellLabel, analytic_propagator, bell_state, density_matrix, evolve
 from .linalg import EigenConvergenceError
 from .model import CircuitParams
 from .scan import (
@@ -65,16 +58,6 @@ class _Parser(argparse.ArgumentParser):
     def exit_code_on_error(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _fmt(x: float) -> str:
-    """Fixed 12-decimal format used for coherence/density columns."""
-    return format(float(x), ".12f")
-
-
-def _fmt_g(x: float) -> str:
-    """Compact 12-significant-digit format used for times and reports."""
-    return format(float(x), ".12g")
 
 
 def _finite(text: str) -> float:
@@ -147,10 +130,13 @@ def _params_from(args, parser: _Parser, **override: float) -> CircuitParams:
         parser.error(str(exc))
 
 
-def _open_out(path: str):
+def _write_out(path: str, write) -> None:
+    """Call ``write(stream)`` on standard output for "-", else on a new ASCII file."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
+        write(sys.stdout)
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as stream:
+        write(stream)
 
 
 def _meta(args, extra: dict | None = None) -> dict:
@@ -197,9 +183,9 @@ def _write_series(series: CoherenceSeries, args, stream):
 def _write_grid(gridval: ScanGrid, args, stream):
     if args.format == "csv":
         stream.write(f"{gridval.axis1_name},{gridval.axis2_name},value\n")
-        times = [f",{_fmt_g(t)}," for t in gridval.axis2]
+        times = [f",{t:.12g}," for t in gridval.axis2]
         for a1, row in zip(gridval.axis1, gridval.values):
-            head = _fmt_g(a1)
+            head = f"{a1:.12g}"
             stream.write("".join([f"{head}{t}{v:.12f}\n" for t, v in zip(times, row.tolist())]))
     else:
         n1, n2 = gridval.values.shape
@@ -238,21 +224,21 @@ def _cmd_evolve(args, parser: _Parser) -> int:
     c_closed = closed_form_coherence(label, params, args.t)
 
     print(
-        f"state {label.value}  e_j={_fmt_g(params.e_j)} e_m={_fmt_g(params.e_m)} "
-        f"hbar={_fmt_g(params.hbar)} t={_fmt_g(args.t)}"
+        f"state {label.value}  e_j={params.e_j:.12g} e_m={params.e_m:.12g} "
+        f"hbar={params.hbar:.12g} t={args.t:.12g}"
     )
     print("amplitudes (|00>, |01>, |10>, |11>):")
     for basis, amp in zip(("00", "01", "10", "11"), state.amplitudes):
-        print(f"  |{basis}>  re={_fmt(amp.real)}  im={_fmt(amp.imag)}")
+        print(f"  |{basis}>  re={amp.real:.12f}  im={amp.imag:.12f}")
     print("rho (real part):")
     for row in rho.matrix:
-        print("  " + "  ".join(_fmt(v.real) for v in row))
+        print("  " + "  ".join(f"{v.real:.12f}" for v in row))
     print("rho (imag part):")
     for row in rho.matrix:
-        print("  " + "  ".join(_fmt(v.imag) for v in row))
-    print(f"C(numeric) = {_fmt(c_numeric)}")
-    print(f"C(closed)  = {_fmt(c_closed)}")
-    print(f"gap = {_fmt_g(abs(c_numeric - c_closed))}")
+        print("  " + "  ".join(f"{v.imag:.12f}" for v in row))
+    print(f"C(numeric) = {c_numeric:.12f}")
+    print(f"C(closed)  = {c_closed:.12f}")
+    print(f"gap = {abs(c_numeric - c_closed):.12g}")
     return EXIT_OK
 
 
@@ -265,12 +251,7 @@ def _cmd_series(args, parser: _Parser) -> int:
     series = time_series(
         BellLabel(args.state), params, TimeGrid(0.0, args.t_max, args.steps)
     )
-    stream, owned = _open_out(args.out)
-    try:
-        _write_series(series, args, stream)
-    finally:
-        if owned:
-            stream.close()
+    _write_out(args.out, lambda stream: _write_series(series, args, stream))
     return EXIT_OK
 
 
@@ -293,12 +274,7 @@ def _cmd_grid(args, parser: _Parser) -> int:
         (args.min, args.max, args.vsteps),
         TimeGrid(0.0, args.t_max, args.steps),
     )
-    stream, owned = _open_out(args.out)
-    try:
-        _write_grid(gridval, args, stream)
-    finally:
-        if owned:
-            stream.close()
+    _write_out(args.out, lambda stream: _write_grid(gridval, args, stream))
     return EXIT_OK
 
 
@@ -316,13 +292,13 @@ def _cmd_verify(args, parser: _Parser) -> int:
         for check in report.checks:
             p = check.worst_params
             print(
-                f"  {check.name:<10s} max deviation {_fmt_g(check.max_deviation)}"
-                f"  (draw {check.worst_draw}: e_j={_fmt_g(p.e_j)},"
-                f" e_m={_fmt_g(p.e_m)}, hbar={_fmt_g(p.hbar)},"
-                f" t={_fmt_g(check.worst_time)})"
+                f"  {check.name:<10s} max deviation {check.max_deviation:.12g}"
+                f"  (draw {check.worst_draw}: e_j={p.e_j:.12g},"
+                f" e_m={p.e_m:.12g}, hbar={p.hbar:.12g},"
+                f" t={check.worst_time:.12g})"
             )
         verdict = "PASS" if report.passed else f"FAIL (worst: {report.worst_check})"
-        print(f"result: {verdict} (threshold {_fmt_g(report.threshold)})")
+        print(f"result: {verdict} (threshold {report.threshold:.12g})")
     return EXIT_OK if report.passed else EXIT_INVARIANT
 
 
@@ -336,11 +312,11 @@ def _cmd_optimize(args, parser: _Parser) -> int:
     print(f"objective: {point.objective}")
     print(f"state: {args.state}")
     print(
-        f"params: e_j={_fmt_g(point.params.e_j)} e_m={_fmt_g(point.params.e_m)} "
-        f"hbar={_fmt_g(point.params.hbar)}"
+        f"params: e_j={point.params.e_j:.12g} e_m={point.params.e_m:.12g} "
+        f"hbar={point.params.hbar:.12g}"
     )
-    print(f"t = {_fmt_g(point.t)}")
-    print(f"coherence = {_fmt(point.coherence)}")
+    print(f"t = {point.t:.12g}")
+    print(f"coherence = {point.coherence:.12f}")
     if point.mechanism is not None:
         print(f"mechanism: {point.mechanism}")
     return EXIT_OK
@@ -378,7 +354,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"tqcoh: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DensityMatrixError, ConsistencyError, EigenConvergenceError, ValueError) as exc:
+    except (EigenConvergenceError, ValueError) as exc:
         print(f"tqcoh: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

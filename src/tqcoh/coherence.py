@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import BellLabel, DensityMatrix
-from .linalg import as_complex_matrix, hermitian_eigensystem
+from .evolution import BellLabel, DensityMatrix, DensityMatrixError
+from .linalg import hermitian_eigensystem
 from .model import CircuitParams, check_phase, scaled_energies
 
 __all__ = [
@@ -43,40 +43,23 @@ __all__ = [
 ]
 
 
-class DensityMatrixError(ValueError):
-    """A candidate density matrix violates one of its defining properties.
-
-    ``violation`` names the first failed property: "hermiticity", "trace"
-    or "positivity".
-    """
-
-    def __init__(self, violation: str, detail: str):
-        super().__init__(f"invalid density matrix ({violation}): {detail}")
-        self.violation = violation
-
-
 def validate_density(matrix) -> DensityMatrix:
     """Certify an arbitrary square complex matrix as a density matrix.
 
-    Checks, in order: hermiticity (max entry deviation <= 1e-10), unit
-    trace (<= 1e-10) and positive semidefiniteness (smallest eigenvalue
-    >= -1e-9). The first violated property is reported via
+    Checks, in order: hermiticity and unit trace (by constructing the
+    :class:`DensityMatrix`), then positive semidefiniteness (smallest
+    eigenvalue >= -1e-9). The first violated property is reported via
     :class:`DensityMatrixError`.
     """
-    m = as_complex_matrix(matrix)
-    herm_defect = float(np.max(np.abs(m - m.conj().T)))
-    if herm_defect > 1e-10:
-        raise DensityMatrixError("hermiticity", f"max |rho - rho+| = {herm_defect:.3e}")
-    trace_defect = abs(complex(np.trace(m)) - 1.0)
-    if trace_defect > 1e-10:
-        raise DensityMatrixError("trace", f"|tr(rho) - 1| = {trace_defect:.3e}")
+    rho = DensityMatrix(matrix)
+    m = rho.matrix
     # Eigensolve on the exactly Hermitian average (the defect is within
     # the eigensolver's input tolerance either way).
     eig = hermitian_eigensystem((m + m.conj().T) / 2.0)
     min_eig = float(eig.eigenvalues[0])
     if min_eig < -1e-9:
         raise DensityMatrixError("positivity", f"smallest eigenvalue = {min_eig:.3e}")
-    return DensityMatrix(m)
+    return rho
 
 
 def l1_coherence(rho) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .model import (
 
 __all__ = [
     "BellLabel",
-    "ConsistencyError",
     "DensityMatrix",
+    "DensityMatrixError",
     "StateVector",
     "UnitaryMatrix",
     "analytic_propagator",
@@ -58,8 +58,16 @@ _SQRT_HALF = math.sqrt(0.5)
 _EYE4 = np.eye(4)
 
 
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed (e.g. norm drift under evolution)."""
+class DensityMatrixError(ValueError):
+    """A candidate density matrix violates one of its defining properties.
+
+    ``violation`` names the first failed property: "hermiticity", "trace"
+    or "positivity".
+    """
+
+    def __init__(self, violation: str, detail: str):
+        super().__init__(f"invalid density matrix ({violation}): {detail}")
+        self.violation = violation
 
 
 class BellLabel(enum.Enum):
@@ -97,21 +105,21 @@ class StateVector:
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
-    """A certified 4x4 propagator for the given parameters and time."""
+    """A certified 4x4 propagator; ``defect`` is its max |U+U - I|."""
 
     matrix: np.ndarray
-    time: float
-    params: CircuitParams
+    defect: float = field(init=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        defect = np.abs(m.conj().T @ m - _EYE4).max()
+        defect = float(np.abs(m.conj().T @ m - _EYE4).max())
         # This bound also pins ||det U| - 1| below 8e-10 on a 4x4.
         if defect > 1e-10:
             raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "defect", defect)
         m.setflags(write=False)
 
 
@@ -119,20 +127,26 @@ class UnitaryMatrix:
 class DensityMatrix:
     """Hermitian, unit-trace d x d density matrix.
 
-    Construction checks hermiticity and trace; positivity holds by
-    construction in :func:`density_matrix` (a rank-one projector) and is
-    certified by :func:`tqcoh.coherence.validate_density` (explicit
-    eigenvalue check) for any other matrix.
+    Construction checks hermiticity (max entry deviation <= 1e-10), then
+    unit trace (<= 1e-10), and raises :class:`DensityMatrixError` naming
+    the first violated property. Positivity holds by construction in
+    :func:`density_matrix` (a rank-one projector) and is certified by
+    :func:`tqcoh.coherence.validate_density` (explicit eigenvalue check)
+    for any other matrix.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        if np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if abs(m.trace() - 1.0) > 1e-10:
-            raise ValueError("density matrix trace deviates from 1 beyond 1e-10")
+        herm_defect = np.abs(m - m.conj().T).max()
+        if herm_defect > 1e-10:
+            raise DensityMatrixError(
+                "hermiticity", f"not Hermitian: max |rho - rho+| = {herm_defect:.3e}"
+            )
+        trace_defect = abs(m.trace() - 1.0)
+        if trace_defect > 1e-10:
+            raise DensityMatrixError("trace", f"|tr(rho) - 1| = {trace_defect:.3e}")
         object.__setattr__(self, "matrix", m)
         m.setflags(write=False)
 
@@ -194,7 +208,7 @@ def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
 def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     """Closed-form U(t), element by element."""
     matrix = _assemble_propagator(*_propagator_elements(params, float(t)))
-    return UnitaryMatrix(matrix=matrix, time=float(t), params=params)
+    return UnitaryMatrix(matrix)
 
 
 def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndarray:
@@ -221,20 +235,16 @@ def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     h = build_hamiltonian_tensor(params)
     eig = hermitian_eigensystem(h.matrix)
     matrix = spectral_rows(eig, params, float(t), eig.eigenvectors.conj()).T
-    return UnitaryMatrix(matrix=matrix, time=float(t), params=params)
+    return UnitaryMatrix(matrix)
 
 
 def evolve(state: StateVector, u: UnitaryMatrix) -> StateVector:
     """Apply the propagator to a state.
 
-    Unitarity should preserve the norm; the result is re-checked, never
-    re-normalised.
+    Unitarity should preserve the norm; the result is certified as a
+    :class:`StateVector`, never re-normalised.
     """
-    out = u.matrix @ state.amplitudes
-    norm = math.sqrt((np.abs(out) ** 2).sum())
-    if abs(norm - 1.0) > 1e-8:
-        raise ConsistencyError(f"norm drifted to {norm!r} under evolution")
-    return StateVector(out)
+    return StateVector(u.matrix @ state.amplitudes)
 
 
 def density_matrix(state: StateVector) -> DensityMatrix:
@@ -292,28 +302,20 @@ def closed_form_density(
     cross = 2.0 * jr * mr * sf**2
     wave = 2.0 * jr * sf * cf
 
+    # |psi+> swaps the outer and middle blocks of |phi+> and negates the edge.
     if label is BellLabel.PHI_PLUS:
-        edge = -cross - 1j * wave  # rho_12 = rho_13 = rho_42 = rho_43
-        conj_edge = np.conj(edge)  # rho_21 = rho_24 = rho_31 = rho_34
-        rho = np.array(
-            [
-                [corner, edge, edge, corner],
-                [conj_edge, inner, inner, conj_edge],
-                [conj_edge, inner, inner, conj_edge],
-                [corner, edge, edge, corner],
-            ]
-        )
+        outer, middle, edge = corner, inner, -cross - 1j * wave
     else:  # PSI_PLUS
-        edge = +cross + 1j * wave  # rho_12 = rho_13 = rho_42 = rho_43
-        conj_edge = np.conj(edge)  # rho_21 = rho_24 = rho_31 = rho_34
-        rho = np.array(
-            [
-                [inner, edge, edge, inner],
-                [conj_edge, corner, corner, conj_edge],
-                [conj_edge, corner, corner, conj_edge],
-                [inner, edge, edge, inner],
-            ]
-        )
+        outer, middle, edge = inner, corner, +cross + 1j * wave
+    conj_edge = np.conj(edge)  # edge is rho_12 = rho_13 = rho_42 = rho_43
+    rho = np.array(
+        [
+            [outer, edge, edge, outer],
+            [conj_edge, middle, middle, conj_edge],
+            [conj_edge, middle, middle, conj_edge],
+            [outer, edge, edge, outer],
+        ]
+    )
     return DensityMatrix(rho)
 
 

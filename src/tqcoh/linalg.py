@@ -28,7 +28,9 @@ HERMITICITY_TOL = 1e-12
 _OFF_FACTOR = 1e-14
 _MAX_SWEEPS = 100
 # Off-diagonal entries below the smallest normal float are set to zero:
-# apq / |apq| would divide by a subnormal and return NaN.
+# apq / |apq| would divide by a subnormal and return NaN. The rotations run
+# on a copy scaled to ||A||_F in [0.5, 1), so only entries negligible
+# against ||H|| fall below it.
 _TINY = np.finfo(float).tiny
 # The eigen residual bound is max(1e-10, _RESIDUAL_FACTOR * ||H||_F).
 _RESIDUAL_FACTOR = 64.0 * np.finfo(float).eps
@@ -98,11 +100,15 @@ def hermitian_eigensystem(h) -> EigenSystem:
         raise ValueError("matrix is not Hermitian within 1e-12")
 
     # Work on the exactly-Hermitian average; the shift is below tolerance.
-    a = ((h + h_adj) / 2.0).tolist()
+    avg = (h + h_adj) / 2.0
+    frob = math.hypot(*[abs(x) for x in avg.ravel().tolist()])
+    # Rotate A = 2^-e avg, whose norm is the mantissa in [0.5, 1). Scaling
+    # by a power of two is exact, and ldexp does not overflow where the
+    # factor 2^-e itself would (||H||_F near 1e-310).
+    mantissa, exponent = math.frexp(frob)
+    a = np.ldexp(avg.view(float), -exponent).view(complex).tolist()
     v = np.eye(dim, dtype=complex).tolist()
-
-    frob = math.hypot(*[abs(x) for row in a for x in row])
-    target = _OFF_FACTOR * frob
+    target = _OFF_FACTOR * mantissa
 
     sweeps = 0
     while True:
@@ -156,7 +162,7 @@ def hermitian_eigensystem(h) -> EigenSystem:
 
     diagonal = [a[i][i].real for i in range(dim)]
     order = sorted(range(dim), key=diagonal.__getitem__)  # stable
-    values = np.array([diagonal[i] for i in order])
+    values = np.ldexp([diagonal[i] for i in order], exponent)
     vectors = np.array(v)[:, order]
 
     # Certify before returning: eigen residual and pairwise orthonormality.
@@ -174,7 +180,7 @@ def hermitian_eigensystem(h) -> EigenSystem:
             else "eigensystem certificate failed"
         )
         raise EigenConvergenceError(
-            f"{problem}: sweeps={sweeps}, off-norm={off:.3e}, "
+            f"{problem}: sweeps={sweeps}, off-norm={math.ldexp(off, exponent):.3e}, "
             f"||H||_F={frob:.3e}, residual={residual:.3e} (bound {bound:.3e}), "
             f"orthonormality defect={defect:.3e}"
         )

@@ -87,7 +87,6 @@ class CircuitParams:
 class HamiltonianMatrix:
     """4x4 circuit Hamiltonian in the computational basis."""
 
-    params: CircuitParams
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -128,7 +127,7 @@ def build_hamiltonian_tensor(params: CircuitParams) -> HamiltonianMatrix:
     coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
     tunnel = -0.5 * params.hbar * params.e_j
     h = coupling * _ZZ + tunnel * _XI + tunnel * _IX
-    return HamiltonianMatrix(params=params, matrix=h.astype(complex))
+    return HamiltonianMatrix(h.astype(complex))
 
 
 def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
@@ -147,7 +146,7 @@ def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
             [0.0, tunnel, tunnel, coupling],
         ]
     )
-    return HamiltonianMatrix(params=params, matrix=h.astype(complex))
+    return HamiltonianMatrix(h.astype(complex))
 
 
 def scaled_energies(params: CircuitParams) -> tuple[float, float, float]:

@@ -50,6 +50,9 @@ MECHANISM_EIGENSTATE = "eigenstate: stationary state, coherence constant at 1"
 MECHANISM_TUNNELLING_OFF = "tunnelling off: C constant 1"
 MECHANISM_NONE = "not stationary: set e_j = 0 to freeze C at 1"
 
+# The largest deviation a :func:`cross_validate` check may record and pass.
+THRESHOLD = 1e-9
+
 # Rows of the numeric column computed per block in :func:`time_series`.
 # The per-block arrays (N x 4 states, N x 4 x 4 moduli) then stay near
 # 1 MiB whatever the number of steps.
@@ -80,8 +83,6 @@ class TimeGrid:
 class CoherenceSeries:
     """Closed-form and pipeline coherence sampled on a time grid."""
 
-    label: BellLabel
-    params: CircuitParams
     times: np.ndarray
     closed_form: np.ndarray
     numeric: np.ndarray
@@ -151,14 +152,8 @@ def time_series(
     finite = np.isfinite(gaps)
     if not finite.all():
         raise ValueError(f"coherence is not finite at t = {times[np.argmin(finite)]:.12g}")
-    gap = float(np.max(gaps))
     return CoherenceSeries(
-        label=label,
-        params=params,
-        times=times,
-        closed_form=closed,
-        numeric=numeric,
-        max_abs_gap=gap,
+        times=times, closed_form=closed, numeric=numeric, max_abs_gap=float(np.max(gaps))
     )
 
 
@@ -317,7 +312,7 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[CircuitParams, float]:
     return CircuitParams(e_j=e_j, e_m=e_m, hbar=hbar), t
 
 
-def cross_validate(draws: int, seed: int, threshold: float = 1e-9) -> ValidationReport:
+def cross_validate(draws: int, seed: int) -> ValidationReport:
     """Batch-validate the closed forms against the spectral pipeline.
 
     For ``draws`` seeded random parameter/time points (PCG64 generator,
@@ -330,16 +325,15 @@ def cross_validate(draws: int, seed: int, threshold: float = 1e-9) -> Validation
       propagated density matrix;
     * "unitarity": max |U+U - I| over both propagator routes.
 
-    The report passes iff every recorded maximum is at most ``threshold``.
+    The report passes iff every recorded maximum is at most ``THRESHOLD``.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     rng = np.random.default_rng(seed)
     names = ("propagator", "density", "coherence", "unitarity")
-    max_dev = dict.fromkeys(names, 0.0)
-    worst: dict[str, tuple[int, CircuitParams, float]] = {}
+    # Per check: (max deviation, draw, params, t) of the latest worst draw.
+    worst: dict[str, tuple[float, int, CircuitParams, float]] = {}
 
-    identity = np.eye(4)
     for index in range(draws):
         params, t = _draw_parameters(rng)
         u_closed = analytic_propagator(params, t)
@@ -347,10 +341,7 @@ def cross_validate(draws: int, seed: int, threshold: float = 1e-9) -> Validation
 
         devs = {
             "propagator": float(np.abs(u_closed.matrix - u_spectral.matrix).max()),
-            "unitarity": max(
-                float(np.abs(u.matrix.conj().T @ u.matrix - identity).max())
-                for u in (u_closed, u_spectral)
-            ),
+            "unitarity": max(u_closed.defect, u_spectral.defect),
             "density": 0.0,
             "coherence": 0.0,
         }
@@ -368,26 +359,16 @@ def cross_validate(draws: int, seed: int, threshold: float = 1e-9) -> Validation
                 ),
             )
         for name in names:
-            if devs[name] >= max_dev[name]:
-                max_dev[name] = devs[name]
-                worst[name] = (index, params, t)
+            if devs[name] >= worst.get(name, (0.0,))[0]:
+                worst[name] = (devs[name], index, params, t)
 
-    checks = tuple(
-        CheckResult(
-            name=name,
-            max_deviation=max_dev[name],
-            worst_draw=worst[name][0],
-            worst_params=worst[name][1],
-            worst_time=worst[name][2],
-        )
-        for name in names
-    )
-    passed = all(c.max_deviation <= threshold for c in checks)
+    checks = tuple(CheckResult(name, *worst[name]) for name in names)
+    passed = all(c.max_deviation <= THRESHOLD for c in checks)
     worst_check = max(checks, key=lambda c: c.max_deviation).name
     return ValidationReport(
         draws=draws,
         seed=seed,
-        threshold=threshold,
+        threshold=THRESHOLD,
         checks=checks,
         passed=passed,
         worst_check=worst_check,

@@ -152,6 +152,25 @@ def test_series_at_large_energies(capsys):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ej", "1", "--em", "0", "--hbar", "1e-308", "--t-max", "10"],
+        ["--ej", "1e-300", "--em", "0", "--hbar", "1e-10", "--t-max", "1e300"],
+        ["--ej", "3e-309", "--em", "1e-308", "--t-max", "1e308"],
+    ],
+    ids=["hbar-1e-308", "ej-1e-300", "both-subnormal"],
+)
+def test_series_with_a_subnormal_hamiltonian(argv, capsys):
+    # Every entry of H is subnormal: a Jacobi solve that zeroed them would
+    # leave c_numeric at 1 while the closed form moves past 2.
+    code, out, err = run_cli(["series", "--state", "phi+", *argv, "--steps", "3"], capsys)
+    assert code == EXIT_OK, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert rows[-1][1] > 2.0
+    assert max(row[3] for row in rows) <= 1e-12
+
+
 def test_series_rejects_single_step(capsys):
     code, _, _ = run_cli(["series", "--state", "phi+", "--steps", "1"], capsys)
     assert code == EXIT_USAGE
@@ -471,8 +490,13 @@ def test_console_entry_point_subprocess(tmp_path):
         # uncaught OverflowError, exit 1).
         (["optimize", "--state", "phi+", "--ej", "1e10", "--t-min", "1e300",
           "--t-max", "1e301"], "1e+300 (e_j=10000000000.0"),
+        # The closed-form phase is finite; the spectral one, t lambda / hbar
+        # with lambda ~ hbar e_j, overflows in t lambda.
+        (["series", "--state", "phi+", "--hbar", "1e200", "--ej", "1", "--em", "0",
+          "--t-max", "1e110", "--steps", "3"], "5e+109 (e_j=1.0, e_m=0.0, hbar=1e+200)"),
     ],
-    ids=["series-csv", "series-json", "grid", "evolve", "optimize", "optimize-far-window"],
+    ids=["series-csv", "series-json", "grid", "evolve", "optimize", "optimize-far-window",
+         "series-spectral-phase"],
 )
 def test_non_finite_coherence_is_an_invariant_violation(argv, bad_t, tmp_path):
     # In a subprocess, so that any numpy RuntimeWarning reaches stderr: the

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from conftest import CANONICAL_PARAMS, circuit_params, times
 from tqcoh.evolution import (
     BellLabel,
-    ConsistencyError,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
@@ -92,6 +91,7 @@ def test_propagator_unitarity(p, t):
     for u in (analytic_propagator(p, t), numeric_propagator(p, t)):
         defect = np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(4)))
         assert defect <= 1e-10
+        assert u.defect == defect
 
 
 @given(circuit_params(), times(), times())
@@ -125,7 +125,7 @@ def test_numeric_propagator_element_symmetries(p, t):
 
 def test_unitary_matrix_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
-        UnitaryMatrix(matrix=np.eye(4) * 1.5, time=0.0, params=CANONICAL_PARAMS)
+        UnitaryMatrix(np.eye(4) * 1.5)
 
 
 def test_propagator_rejects_non_finite_time():
@@ -170,7 +170,7 @@ def test_evolve_detects_norm_drift():
     broken = u.matrix.copy()
     broken *= 1.001
     object.__setattr__(u, "matrix", broken)  # bypass the frozen guard
-    with pytest.raises(ConsistencyError, match="norm"):
+    with pytest.raises(ValueError, match="not normalised"):
         evolve(bell_state(BellLabel.PHI_PLUS), u)
 
 
@@ -192,10 +192,12 @@ def test_density_matrix_examples():
 
 
 def test_density_matrix_type_checks():
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="Hermitian") as err:
         DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-    with pytest.raises(ValueError, match="trace"):
+    assert err.value.violation == "hermiticity"
+    with pytest.raises(ValueError, match="trace") as err:
         DensityMatrix(np.diag([0.6, 0.6]).astype(complex))
+    assert err.value.violation == "trace"
 
 
 def test_closed_form_density_stationary_labels():

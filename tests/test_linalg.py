@@ -52,6 +52,19 @@ def test_eigensystem_tiny_energies():
     assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [CircuitParams(e_j=1.0, e_m=0.0, hbar=1e-308), CircuitParams(e_j=3e-309, e_m=1e-308)],
+    ids=["subnormal-tunnel", "subnormal-both"],
+)
+def test_eigensystem_subnormal_hamiltonian(params):
+    # Every entry of H is below the cutoff at which the rotations zero an
+    # off-diagonal entry; only a rescaled solve finds the nonzero spectrum.
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(params).matrix)
+    expected = np.array(bell_block_spectrum(params))
+    assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_eigensystem_zero_matrix():
     eig = hermitian_eigensystem(np.zeros((4, 4), dtype=complex))
     assert np.array_equal(eig.eigenvalues, np.zeros(4))
