@@ -39,6 +39,7 @@ from .model import (
     CircuitParams,
     FrequencyScales,
     HamiltonianMatrix,
+    InputError,
     build_hamiltonian_explicit,
     build_hamiltonian_tensor,
     frequency_scales,
@@ -67,6 +68,7 @@ __all__ = [
     "EigenSystem",
     "FrequencyScales",
     "HamiltonianMatrix",
+    "InputError",
     "OperatingPoint",
     "ScanGrid",
     "StateVector",

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: evolve, series, grid, verify, optimize. Exit codes are
-stable across subcommands: 0 success, 1 usage error (including an
-infinite or NaN number), 2 invariant or verification failure, 3 I/O
-failure. Data files are CSV (default) or
-JSON; ``--out -`` writes to standard output.
+stable across subcommands: 0 success, 1 usage error (a bad flag, an
+infinite or NaN number, or an input the library rejects with
+``InputError``), 2 invariant or verification failure, 3 I/O failure.
+Data files are CSV (default) or JSON; ``--out -`` writes to standard
+output.
 
 Give a negative number in scientific notation with ``=``, as in
 ``--ej=-1e5``: argparse reads ``--ej -1e5`` as a flag without a value
@@ -15,6 +16,7 @@ Give a negative number in scientific notation with ``=``, as in
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +27,7 @@ from . import __version__
 from .coherence import closed_form_coherence, l1_coherence
 from .evolution import BellLabel, analytic_propagator, bell_state, density_matrix, evolve
 from .linalg import EigenConvergenceError
-from .model import CircuitParams
+from .model import CircuitParams, InputError
 from .scan import (
     CoherenceSeries,
     ScanGrid,
@@ -53,11 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_code_on_error(message))
-
-    def exit_code_on_error(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _finite(text: str) -> float:
@@ -122,14 +120,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _params_from(args, parser: _Parser, **override: float) -> CircuitParams:
-    values = {"e_j": args.ej, "e_m": args.em, "hbar": args.hbar, **override}
-    try:
-        return CircuitParams(**values)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _write_out(path: str, write) -> None:
     """Call ``write(stream)`` on standard output for "-", else on a new ASCII file."""
     if path == "-":
@@ -151,16 +141,15 @@ def _meta(args, extra: dict | None = None) -> dict:
 
 
 def _write_series(series: CoherenceSeries, args, stream):
-    gap = np.abs(series.closed_form - series.numeric)
     if args.format == "csv":
         stream.write("t,c_closed_form,c_numeric,abs_gap\n")
-        for lo in range(0, len(gap), _BLOCK_ROWS):
+        for lo in range(0, len(series.gap), _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
             rows = zip(
                 series.times[block].tolist(),
                 series.closed_form[block].tolist(),
                 series.numeric[block].tolist(),
-                gap[block].tolist(),
+                series.gap[block].tolist(),
             )
             stream.write("".join(["%.12g,%.12f,%.12f,%.12f\n" % row for row in rows]))
     else:
@@ -173,7 +162,7 @@ def _write_series(series: CoherenceSeries, args, stream):
                 "t": series.times.tolist(),
                 "c_closed_form": series.closed_form.tolist(),
                 "c_numeric": series.numeric.tolist(),
-                "abs_gap": gap.tolist(),
+                "abs_gap": series.gap.tolist(),
             },
         }
         json.dump(doc, stream, indent=2)
@@ -214,8 +203,8 @@ def _write_grid(gridval: ScanGrid, args, stream):
         stream.write("\n")
 
 
-def _cmd_evolve(args, parser: _Parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_evolve(args) -> int:
+    params = CircuitParams(args.ej, args.em, args.hbar)
     label = BellLabel(args.state)
     u = analytic_propagator(params, args.t)
     state = evolve(bell_state(label), u)
@@ -242,12 +231,8 @@ def _cmd_evolve(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _cmd_series(args, parser: _Parser) -> int:
-    params = _params_from(args, parser)
-    if args.steps < 2:
-        parser.error("--steps must be at least 2")
-    if not args.t_max > 0.0:
-        parser.error("--t-max must be positive")
+def _cmd_series(args) -> int:
+    params = CircuitParams(args.ej, args.em, args.hbar)
     series = time_series(
         BellLabel(args.state), params, TimeGrid(0.0, args.t_max, args.steps)
     )
@@ -255,21 +240,14 @@ def _cmd_series(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _cmd_grid(args, parser: _Parser) -> int:
+def _cmd_grid(args) -> int:
     vary = {"ej": "e_j", "em": "e_m"}[args.vary]
-    # grid_scan replaces the varied field, and the domain check grows with
-    # |value|, so the two range ends stand for every row.
-    params = _params_from(args, parser, **{vary: args.min})
-    _params_from(args, parser, **{vary: args.max})
-    if args.steps < 2 or args.vsteps < 2:
-        parser.error("--steps and --vsteps must be at least 2")
-    if not args.t_max > 0.0:
-        parser.error("--t-max must be positive")
-    if not args.max > args.min:
-        parser.error("--max must exceed --min")
+    # grid_scan replaces the varied field in every row, so its own flag
+    # is never used; --min stands in for it.
+    values = {"e_j": args.ej, "e_m": args.em, "hbar": args.hbar, vary: args.min}
     gridval = grid_scan(
         BellLabel(args.state),
-        params,
+        CircuitParams(**values),
         vary,
         (args.min, args.max, args.vsteps),
         TimeGrid(0.0, args.t_max, args.steps),
@@ -278,12 +256,10 @@ def _cmd_grid(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, parser: _Parser) -> int:
-    if args.samples < 1:
-        parser.error("--samples must be at least 1")
+def _cmd_verify(args) -> int:
     report = cross_validate(args.samples, args.seed)
     if args.format == "json":
-        doc = report.as_dict()
+        doc = dataclasses.asdict(report)
         doc["version"] = __version__
         json.dump(doc, sys.stdout, indent=2)
         print()
@@ -302,19 +278,14 @@ def _cmd_verify(args, parser: _Parser) -> int:
     return EXIT_OK if report.passed else EXIT_INVARIANT
 
 
-def _cmd_optimize(args, parser: _Parser) -> int:
-    params = _params_from(args, parser)
-    if not args.t_max > args.t_min:
-        parser.error("--t-max must exceed --t-min")
+def _cmd_optimize(args) -> int:
+    params = CircuitParams(args.ej, args.em, args.hbar)
     point = find_operating_point(
         BellLabel(args.state), params, (args.t_min, args.t_max), args.objective
     )
-    print(f"objective: {point.objective}")
+    print(f"objective: {args.objective}")
     print(f"state: {args.state}")
-    print(
-        f"params: e_j={point.params.e_j:.12g} e_m={point.params.e_m:.12g} "
-        f"hbar={point.params.hbar:.12g}"
-    )
+    print(f"params: e_j={params.e_j:.12g} e_m={params.e_m:.12g} hbar={params.hbar:.12g}")
     print(f"t = {point.t:.12g}")
     print(f"coherence = {point.coherence:.12f}")
     if point.mechanism is not None:
@@ -343,17 +314,19 @@ def main(argv=None) -> int:
     parser = _PARSER
     try:
         args = parser.parse_args(argv)
+        return _DISPATCH[args.command](args)
     except SystemExit as exc:
         # argparse raises SystemExit for --help/--version (code 0) and for
         # usage errors (code from _Parser.error).
         return int(exc.code or 0)
-    try:
-        return _DISPATCH[args.command](args, parser)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except OSError as exc:
         print(f"tqcoh: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InputError as exc:
+        # The library's own input checks: reported as a usage error.
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (EigenConvergenceError, ValueError) as exc:
         print(f"tqcoh: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

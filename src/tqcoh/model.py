@@ -24,6 +24,7 @@ __all__ = [
     "CircuitParams",
     "FrequencyScales",
     "HamiltonianMatrix",
+    "InputError",
     "PAULI_X",
     "PAULI_Z",
     "build_hamiltonian_explicit",
@@ -41,6 +42,15 @@ _XI = np.kron(PAULI_X, np.eye(2))
 _IX = np.kron(np.eye(2), PAULI_X)
 
 _ZERO_PATTERN = ((0, 3), (3, 0), (1, 2), (2, 1))
+
+
+class InputError(ValueError):
+    """A caller-supplied input outside what the library accepts.
+
+    Raised by the checks on parameters, grids, windows and draw counts,
+    before any route runs; the message names the offending value. Every
+    other ``ValueError`` here is a route or certificate failure.
+    """
 
 
 @dataclass(frozen=True)
@@ -62,9 +72,9 @@ class CircuitParams:
         object.__setattr__(self, "hbar", float(self.hbar))
         for name in ("e_j", "e_m", "hbar"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
+            raise InputError(f"hbar must be positive, got {self.hbar!r}")
         # Every route scales the energies by these; Python floats overflow
         # to inf without a warning, so this runs before any numpy does.
         # hbar e_m comes first: it is a factor of hbar^2 e_m / 4.
@@ -77,7 +87,7 @@ class CircuitParams:
         }
         for name, value in scales.items():
             if not math.isfinite(value):
-                raise ValueError(
+                raise InputError(
                     f"parameters out of range: {name} overflows"
                     f" (e_j={self.e_j!r}, e_m={self.e_m!r}, hbar={self.hbar!r})"
                 )
@@ -154,8 +164,8 @@ def scaled_energies(params: CircuitParams) -> tuple[float, float, float]:
 
     Every closed form is written in these ratios, which are bounded by 1,
     so no intermediate under- or overflows where squaring the energies
-    would. hypot keeps root = 0 exactly equivalent to e_j = e_m = 0, and
-    there all three values are 0.
+    would. hypot keeps root = 0 exactly equivalent to e_j = hbar e_m = 0
+    (the Hamiltonian is then zero), and there all three values are 0.
     """
     root = math.hypot(4.0 * params.e_j, params.hbar * params.e_m)
     if root == 0.0:

@@ -15,7 +15,7 @@ irrelevant.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,13 @@ from .evolution import (
     spectral_rows,
 )
 from .linalg import hermitian_eigensystem
-from .model import CircuitParams, build_hamiltonian_tensor, check_phase, scaled_energies
+from .model import (
+    CircuitParams,
+    InputError,
+    build_hamiltonian_tensor,
+    check_phase,
+    scaled_energies,
+)
 
 __all__ = [
     "CheckResult",
@@ -68,12 +74,15 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ValueError("grid endpoints must be finite")
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        start, end = float(self.t_start), float(self.t_end)
+        span = f"[{start!r}, {end!r}]"
+        # A finite span has finite endpoints and keeps linspace finite.
+        if not math.isfinite(end - start):
+            raise InputError(f"a time grid needs a finite span, got {span}")
+        if not end > start:
+            raise InputError(f"a time grid needs t_end > t_start, got {span}")
         if self.steps < 2:
-            raise ValueError("a time grid needs at least 2 steps")
+            raise InputError(f"a time grid needs at least 2 steps, got {self.steps!r}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
@@ -86,7 +95,7 @@ class CoherenceSeries:
     times: np.ndarray
     closed_form: np.ndarray
     numeric: np.ndarray
-    max_abs_gap: float
+    gap: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,10 @@ class ScanGrid:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """A (parameters, time) point selected for its coherence behaviour."""
+    """A time selected for its coherence behaviour."""
 
-    params: CircuitParams
     t: float
     coherence: float
-    objective: str
     mechanism: str | None = None
 
 
@@ -148,13 +155,11 @@ def time_series(
         numeric[block] = off_diagonal_l1(psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :])
 
     # |closed - numeric| is finite exactly when both columns are.
-    gaps = np.abs(closed - numeric)
-    finite = np.isfinite(gaps)
+    gap = np.abs(closed - numeric)
+    finite = np.isfinite(gap)
     if not finite.all():
         raise ValueError(f"coherence is not finite at t = {times[np.argmin(finite)]:.12g}")
-    return CoherenceSeries(
-        times=times, closed_form=closed, numeric=numeric, max_abs_gap=float(np.max(gaps))
-    )
+    return CoherenceSeries(times=times, closed_form=closed, numeric=numeric, gap=gap)
 
 
 def grid_scan(
@@ -167,24 +172,26 @@ def grid_scan(
     """Closed-form coherence over a (parameter, time) grid.
 
     ``vary`` is "e_j" or "e_m"; the corresponding field of ``fixed`` is
-    replaced by each of ``steps`` uniform values in [lo, hi].
+    replaced by each of ``steps`` uniform values in [lo, hi]. Every row's
+    parameters are checked before any row is computed.
     """
     if vary not in ("e_j", "e_m"):
-        raise ValueError(f"cannot vary {vary!r}; pick 'e_j' or 'e_m'")
-    lo, hi, steps = value_range
+        raise InputError(f"cannot vary {vary!r}; pick 'e_j' or 'e_m'")
+    lo, hi, steps = float(value_range[0]), float(value_range[1]), value_range[2]
+    span = f"[{lo!r}, {hi!r}]"
+    # A finite span has finite ends and keeps linspace finite.
+    if not math.isfinite(hi - lo):
+        raise InputError(f"a parameter range needs a finite span, got {span}")
     if not hi > lo:
-        raise ValueError("degenerate parameter range: hi must exceed lo")
+        raise InputError(f"a parameter range needs hi > lo, got {span}")
     if steps < 2:
-        raise ValueError("a parameter range needs at least 2 steps")
+        raise InputError(f"a parameter range needs at least 2 steps, got {steps!r}")
 
     axis1 = np.linspace(lo, hi, steps)
     axis2 = grid.times()
+    rows = [replace(fixed, **{vary: value}) for value in axis1]
     values = np.empty((steps, grid.steps))
-    for i, value in enumerate(axis1):
-        if vary == "e_j":
-            p = CircuitParams(e_j=value, e_m=fixed.e_m, hbar=fixed.hbar)
-        else:
-            p = CircuitParams(e_j=fixed.e_j, e_m=value, hbar=fixed.hbar)
+    for i, p in enumerate(rows):
         values[i, :] = closed_form_coherence(label, p, axis2)
     return ScanGrid(
         axis1_name=vary, axis2_name="t", axis1=axis1, axis2=axis2, values=values
@@ -212,12 +219,13 @@ def find_operating_point(
     reports the coherence at the window start.
     """
     lo, hi = float(t_window[0]), float(t_window[1])
+    window = f"[{lo!r}, {hi!r}]"
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("time window must be finite")
+        raise InputError(f"a time window needs finite edges, got {window}")
     if not hi > lo:
-        raise ValueError("empty time window")
+        raise InputError(f"empty time window: the end must exceed the start, got {window}")
     if objective not in ("maximize", "stabilize"):
-        raise ValueError(f"unknown objective {objective!r}")
+        raise InputError(f"unknown objective {objective!r}")
 
     def value(t: float) -> float:
         return closed_form_coherence(label, params, t)
@@ -233,13 +241,7 @@ def find_operating_point(
     else:
         mechanism = None
     if mechanism is not None:
-        return OperatingPoint(
-            params=params,
-            t=lo,
-            coherence=value(lo),
-            objective=objective,
-            mechanism=mechanism,
-        )
+        return OperatingPoint(t=lo, coherence=value(lo), mechanism=mechanism)
 
     # A window edge whose phase overflows would overflow the copy index
     # below; reject it as the closed form would.
@@ -266,12 +268,7 @@ def find_operating_point(
     # candidates within float noise of the best.
     best_value = max(value(c) for c in candidates)
     best = min(c for c in candidates if value(c) >= best_value - 1e-12)
-    return OperatingPoint(
-        params=params,
-        t=best,
-        coherence=value(best),
-        objective=objective,
-    )
+    return OperatingPoint(t=best, coherence=value(best))
 
 
 @dataclass(frozen=True)
@@ -295,9 +292,6 @@ class ValidationReport:
     checks: tuple[CheckResult, ...]
     passed: bool
     worst_check: str
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _draw_parameters(rng: np.random.Generator) -> tuple[CircuitParams, float]:
@@ -328,7 +322,7 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     The report passes iff every recorded maximum is at most ``THRESHOLD``.
     """
     if draws < 1:
-        raise ValueError("draws must be at least 1")
+        raise InputError(f"cross-validation needs at least 1 draw, got {draws!r}")
     rng = np.random.default_rng(seed)
     names = ("propagator", "density", "coherence", "unitarity")
     # Per check: (max deviation, draw, params, t) of the latest worst draw.

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -411,6 +412,37 @@ def test_coupling_overflow_is_judged_on_the_product(argv, capsys):
     assert "coherence = " in out
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["series", "--state", "phi+", "--steps", "1"], "got 1"),
+        (["grid", "--state", "phi+", "--vary", "ej", "--min", "0", "--max", "1", "--steps", "1"],
+         "got 1"),
+        (["grid", "--state", "phi+", "--vary", "ej", "--min", "0", "--max", "1", "--vsteps", "1"],
+         "got 1"),
+        (["series", "--state", "phi+", "--t-max", "0"], "[0.0, 0.0]"),
+        (["grid", "--state", "phi+", "--vary", "ej", "--min", "1", "--max", "1"], "[1.0, 1.0]"),
+        (["optimize", "--state", "phi+", "--t-min", "5", "--t-max", "5"], "[5.0, 5.0]"),
+        (["verify", "--samples", "0"], "got 0"),
+        (["series", "--state", "phi+", "--hbar", "0"], "got 0.0"),
+        (["series", "--state", "phi+", "--hbar", "1e200"], "hbar=1e+200"),
+    ],
+    ids=["series-steps", "grid-steps", "grid-vsteps", "t-max", "grid-range", "optimize-window",
+         "verify-samples", "hbar-zero", "hbar-out-of-range"],
+)
+def test_library_input_errors_are_usage_errors(argv, value, tmp_path, capsys):
+    out_file = tmp_path / "out"
+    if argv[0] in ("series", "grid"):
+        argv = argv + ["--out", str(out_file)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage: tqcoh ")
+    assert "\ntqcoh: error: " in err and value in err
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_file.exists()
+
+
 def test_grid_checks_the_range_not_the_replaced_flag(capsys):
     argv = ["grid", "--state", "phi+", "--vary", "em", "--em", "1e308", "--hbar", "2",
             "--min", "0", "--max", "1", "--steps", "3", "--vsteps", "3"]
@@ -514,6 +546,22 @@ def test_non_finite_coherence_is_an_invariant_violation(argv, bad_t, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not out_file.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tqcoh ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Files the examples write land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_OK, (argv, err)
 
 
 def test_make_figure_data_script(tmp_path):

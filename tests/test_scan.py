@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -10,6 +11,8 @@ from conftest import CANONICAL_PARAMS
 from tqcoh.coherence import closed_form_coherence, l1_coherence
 from tqcoh.evolution import (
     BellLabel,
+    DensityMatrix,
+    DensityMatrixError,
     analytic_propagator,
     bell_state,
     closed_form_density,
@@ -17,7 +20,7 @@ from tqcoh.evolution import (
     evolve,
     numeric_propagator,
 )
-from tqcoh.model import CircuitParams
+from tqcoh.model import CircuitParams, InputError
 from tqcoh.scan import (
     MECHANISM_EIGENSTATE,
     MECHANISM_NONE,
@@ -49,7 +52,7 @@ def test_time_grid_validation():
 def test_series_canonical_point():
     series = time_series(BellLabel.PHI_PLUS, CANONICAL_PARAMS, CANONICAL_GRID)
     assert series.closed_form[0] == 1.0
-    assert series.max_abs_gap <= 1e-9
+    assert series.gap.max() <= 1e-9
     # The sampled global maximum reaches 3.0 to within the grid resolution,
     # at a time equivalent (mod the period) to a true maximiser.
     peak = float(series.closed_form.max())
@@ -165,6 +168,79 @@ def test_grid_rejects_degenerate_range():
         grid_scan(
             BellLabel.PHI_PLUS, CANONICAL_PARAMS, "hbar", (0.5, 1.0, 5), TimeGrid(0.0, 1.0, 5)
         )
+
+
+_CANONICAL = (BellLabel.PHI_PLUS, CANONICAL_PARAMS)
+_GRID = TimeGrid(0.0, 1.0, 3)
+
+
+def _scan(value_range, vary="e_m"):
+    return grid_scan(*_CANONICAL, vary, value_range, _GRID)
+
+
+def test_grid_checks_every_row_before_computing_any(monkeypatch):
+    computed = []
+    monkeypatch.setattr(scan_module, "closed_form_coherence",
+                        lambda *args: computed.append(args) or np.ones(3))
+    # Rows 0 and 1 are in range; hbar e_m overflows only in the last one.
+    with pytest.raises(InputError, match="parameters out of range"):
+        grid_scan(BellLabel.PHI_PLUS, CircuitParams(0.5, 0.0, 2.0), "e_m", (0.0, 1e308, 3), _GRID)
+    assert computed == []
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: CircuitParams(e_j=math.nan, e_m=1.0), "got nan"),
+        (lambda: CircuitParams(e_j=0.5, e_m=1.5, hbar=0.0), "got 0.0"),
+        (lambda: CircuitParams(e_j=0.5, e_m=1.5, hbar=1e200), "hbar=1e+200"),
+        (lambda: TimeGrid(0.0, math.inf, 3), "[0.0, inf]"),
+        # The span overflows inside np.linspace (a warning, an error here).
+        (lambda: TimeGrid(-1e308, 1e308, 3), "[-1e+308, 1e+308]"),
+        (lambda: TimeGrid(0.0, 0.0, 3), "[0.0, 0.0]"),
+        (lambda: TimeGrid(0.0, 1.0, 1), "got 1"),
+        (lambda: _scan((0.0, 1.0, 3), vary="hbar"), "'hbar'"),
+        # Non-finite ends: np.linspace warns before a later check.
+        (lambda: _scan((0.0, math.inf, 3)), "[0.0, inf]"),
+        (lambda: _scan((-math.inf, 1.0, 3)), "[-inf, 1.0]"),
+        (lambda: _scan((math.nan, 1.0, 3)), "[nan, 1.0]"),
+        (lambda: _scan((-1e308, 1e308, 3)), "[-1e+308, 1e+308]"),
+        (lambda: _scan((1.0, 1.0, 3)), "[1.0, 1.0]"),
+        (lambda: _scan((0.0, 1.0, 1)), "got 1"),
+        (lambda: find_operating_point(*_CANONICAL, (0.0, math.inf), "maximize"),
+         "[0.0, inf]"),
+        (lambda: find_operating_point(*_CANONICAL, (5.0, 5.0), "maximize"),
+         "[5.0, 5.0]"),
+        (lambda: find_operating_point(*_CANONICAL, (0.0, 1.0), "minimize"),
+         "'minimize'"),
+        (lambda: cross_validate(0, 1), "got 0"),
+    ],
+    ids=["params-finite", "params-hbar", "params-overflow", "grid-finite", "grid-span",
+         "grid-empty", "grid-steps", "scan-vary", "scan-inf-hi", "scan-inf-lo", "scan-nan-lo",
+         "scan-span", "scan-range", "scan-steps", "window-finite", "window-empty", "objective",
+         "draws"],
+)
+def test_input_checks_raise_input_error_naming_the_value(call, value):
+    with pytest.raises(InputError) as err:
+        call()
+    assert isinstance(err.value, ValueError)
+    assert value in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: time_series(BellLabel.PHI_PLUS, _HOT, TimeGrid(0.0, 1e308, 3)), ValueError),
+        (lambda: DensityMatrix(np.diag([0.6, 0.6, 0.0, 0.0]).astype(complex)),
+         DensityMatrixError),
+    ],
+    ids=["phase-overflow", "density"],
+)
+def test_route_failures_are_not_input_errors(call, error):
+    # The command line exits 2 on these, 1 on an InputError.
+    with pytest.raises(error) as err:
+        call()
+    assert not isinstance(err.value, InputError)
 
 
 def test_grid_rejects_non_finite_values():
@@ -380,7 +456,7 @@ def test_cross_validate_flags_corrupted_density(monkeypatch):
 
 def test_report_serialises():
     report = cross_validate(3, 9)
-    doc = report.as_dict()
+    doc = dataclasses.asdict(report)
     assert doc["draws"] == 3 and doc["passed"] is True
     assert len(doc["checks"]) == 4
     assert {"name", "max_deviation", "worst_draw"} <= set(doc["checks"][0])
