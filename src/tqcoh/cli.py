@@ -45,9 +45,23 @@ EXIT_IO = 3
 
 _STATE_CHOICES = ("phi+", "psi+", "phi-", "psi-")
 
-# Rows formatted per write by the series CSV writer. Larger blocks add
-# peak memory and were no faster at 30000 rows.
-_BLOCK_ROWS = 256
+# Lines formatted per write by the CSV writers. Larger blocks add peak
+# memory and were no faster at 30000 and 40000 lines.
+_BLOCK_LINES = 2048
+
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _halves(x):
+    """Veltkamp's split: ``x == hi + lo`` exactly, each half with at most 26 significant bits."""
+    t = _VELTKAMP * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_E12_HI, _E12_LO = _halves(1e12)
+# "00" .. "99" as native uint16, so that one lookup writes two digit bytes.
+_DIGIT_PAIRS = np.array([b"%02d" % d for d in range(100)], dtype="S2").view(np.uint16)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,18 +154,89 @@ def _meta(args, extra: dict | None = None) -> dict:
     return meta
 
 
+def _check_fixed12(*columns: np.ndarray) -> None:
+    """Raise ValueError unless every value is in ``_fixed12``'s domain: [0, 10), no -0.0."""
+    for column in columns:
+        # Written so that NaN, which compares false, fails it too.
+        bad = ~((column < 10.0) & ~np.signbit(column))
+        if bad.any():
+            raise ValueError(
+                f"CSV value {float(column[bad][0])!r} is outside [0, 10) or is -0.0"
+            )
+
+
+def _fixed12(x: np.ndarray) -> np.ndarray:
+    """``b"%.12f" % v`` for every v of x, as a null-padded S16 array.
+
+    Exact for the domain of ``_check_fixed12``, with no Python call per
+    value. Dekker's product gives ``x * 1e12 == p + err`` exactly; ``p`` is
+    rounded to the integer n with ties to even on that exact value: up when
+    ``frac(p) - 0.5 > -err``, or when the two are equal and ``floor(p)`` is
+    odd. ``frac(p) - 0.5`` is exact wherever it can decide, because
+    ``p < 1e13 < 2**53``. The 13 digits of n are split 7 + 6 and printed
+    two at a time.
+    """
+    _check_fixed12(x)
+    p = x * 1e12
+    hi, lo = _halves(x)
+    err = ((hi * _E12_HI - p) + hi * _E12_LO + lo * _E12_HI) + lo * _E12_LO
+    whole = np.floor(p)
+    past_half = (p - whole) - 0.5
+    n = whole.astype(np.int64)
+    n += (past_half > -err) | ((past_half == -err) & (n & 1 == 1))
+    rest = np.empty((len(n), 2), np.uint32)
+    rest[:, 0], rest[:, 1] = np.divmod(n, 10**6)
+    pairs = np.empty((len(n), 2, 3), np.uint16)
+    for k in (2, 1, 0):
+        quotient = rest // 100
+        pairs[:, :, k] = _DIGIT_PAIRS[rest - 100 * quotient]
+        rest = quotient
+    units = rest[:, 0]  # 10 where v rounds up to 10
+    chars = np.zeros((len(n), 16), np.uint8)
+    chars[:, 0] = ord("0") + units
+    chars[:, 1] = ord(".")
+    chars.view(np.uint16)[:, 1:7] = pairs.reshape(len(n), 6)
+    out = chars.view("S16").ravel()
+    out[units == 10] = b"10.000000000000"
+    return out
+
+
+def _g12(values: np.ndarray) -> np.ndarray:
+    """``b"%.12g" % v`` for every v of values, as a null-padded S array."""
+    return np.array([b"%.12g" % v for v in values.tolist()], dtype="S")
+
+
+def _write_csv_block(stream, columns) -> None:
+    """Write the CSV lines whose columns are null-padded S arrays of broadcastable shapes.
+
+    The columns go end to end into one byte buffer, with a comma after
+    each and a newline after the last. No value holds a null byte, so
+    dropping the null padding leaves exactly the text of the lines.
+    """
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    buf = np.full(shape + (sum(c.itemsize + 1 for c in columns),), ord(","), np.uint8)
+    start = 0
+    for column in columns:
+        buf[..., start : start + column.itemsize] = column[..., None].view(np.uint8)
+        start += column.itemsize + 1
+    buf[..., -1] = ord("\n")
+    stream.write(buf[buf != 0].tobytes().decode("ascii"))
+
+
 def _write_series(series: CoherenceSeries, args, stream):
     if args.format == "csv":
         stream.write("t,c_closed_form,c_numeric,abs_gap\n")
-        for lo in range(0, len(series.gap), _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            rows = zip(
-                series.times[block].tolist(),
-                series.closed_form[block].tolist(),
-                series.numeric[block].tolist(),
-                series.gap[block].tolist(),
+        for lo in range(0, len(series.gap), _BLOCK_LINES):
+            block = slice(lo, lo + _BLOCK_LINES)
+            _write_csv_block(
+                stream,
+                [
+                    _g12(series.times[block]),
+                    _fixed12(series.closed_form[block]),
+                    _fixed12(series.numeric[block]),
+                    _fixed12(series.gap[block]),
+                ],
             )
-            stream.write("".join(["%.12g,%.12f,%.12f,%.12f\n" % row for row in rows]))
     else:
         doc = {
             "meta": _meta(
@@ -172,10 +257,12 @@ def _write_series(series: CoherenceSeries, args, stream):
 def _write_grid(gridval: ScanGrid, args, stream):
     if args.format == "csv":
         stream.write(f"{gridval.axis1_name},{gridval.axis2_name},value\n")
-        times = [f",{t:.12g}," for t in gridval.axis2]
-        for a1, row in zip(gridval.axis1, gridval.values):
-            head = f"{a1:.12g}"
-            stream.write("".join([f"{head}{t}{v:.12f}\n" for t, v in zip(times, row.tolist())]))
+        heads, times = _g12(gridval.axis1), _g12(gridval.axis2)
+        rows = max(1, _BLOCK_LINES // len(times))
+        for lo in range(0, len(heads), rows):
+            values = gridval.values[lo : lo + rows]
+            cells = _fixed12(values.ravel()).reshape(values.shape)
+            _write_csv_block(stream, [heads[lo : lo + rows, None], times, cells])
     else:
         n1, n2 = gridval.values.shape
         doc = {
@@ -236,6 +323,8 @@ def _cmd_series(args) -> int:
     series = time_series(
         BellLabel(args.state), params, TimeGrid(0.0, args.t_max, args.steps)
     )
+    if args.format == "csv":
+        _check_fixed12(series.closed_form, series.numeric, series.gap)
     _write_out(args.out, lambda stream: _write_series(series, args, stream))
     return EXIT_OK
 
@@ -252,6 +341,8 @@ def _cmd_grid(args) -> int:
         (args.min, args.max, args.vsteps),
         TimeGrid(0.0, args.t_max, args.steps),
     )
+    if args.format == "csv":
+        _check_fixed12(gridval.values)
     _write_out(args.out, lambda stream: _write_grid(gridval, args, stream))
     return EXIT_OK
 
@@ -322,6 +413,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"tqcoh: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy's message names the size asked for, as in --steps 1e12.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except InputError as exc:
         # The library's own input checks: reported as a usage error.
         parser.print_usage(sys.stderr)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -5,7 +6,10 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tqcoh.cli as cli_module
 import tqcoh.scan as scan_module
@@ -99,8 +103,26 @@ def test_series_csv_stable_across_runs(tmp_path, capsys):
              "--t-max", "40", "--steps", "10000"],
             "9b8f5e54b7d18751dca401fea11b2e19c5f3fbcb81f98ac083c7f9d437ace9f4",
         ),
+        (
+            # 10201 lines in blocks of 20 axis rows (2020 lines).
+            ["grid", "--state", "phi+", "--vary", "ej", "--min", "0", "--max", "0.5"],
+            "688b0729c7b18bc1b51e2e2d7ae12dbf344be929eb9a1d1c7b3a910bf0fc2fd0",
+        ),
+        (
+            # The size of the benchmark's grid workload: 40000 lines.
+            ["grid", "--state", "psi+", "--vary", "em", "--min=-5", "--max", "5",
+             "--hbar", "2", "--t-max", "50", "--steps", "200", "--vsteps", "200"],
+            "5cfd6e7530673ec12908b8bf12eef1110ee21d7eb82f8af13b17eb0203282bdf",
+        ),
+        (
+            # The size of the benchmark's series workload: 30000 lines.
+            ["series", "--state", "phi+", "--ej=-3.7", "--em", "4.1", "--hbar", "0.5",
+             "--t-max", "50", "--steps", "30000"],
+            "8dd7fcdf6efb19396476ef1324c6e48e7ce8a677663bdcefc2d7ff5394f997b4",
+        ),
     ],
-    ids=["series", "grid", "series-three-blocks"],
+    ids=["series", "grid", "series-three-blocks", "grid-blocks", "grid-benchmark-size",
+         "series-benchmark-size"],
 )
 def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
     out_file = tmp_path / "out.csv"
@@ -185,6 +207,28 @@ def test_series_unwritable_destination(capsys):
     assert "i/o error" in err
 
 
+def test_an_unallocatable_series_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # Raised by a stand-in with numpy's message: the real 7.28 TiB request
+    # can succeed under memory overcommit and then exhaust memory.
+    message = (
+        "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+        " and data type float64"
+    )
+
+    def unallocatable(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "time_series", unallocatable)
+    out_file = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        ["series", "--state", "phi+", "--steps", "1000000000000", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == EXIT_USAGE
+    assert err == f"tqcoh: error: {message}\n"
+    assert not out_file.exists()
+
+
 # ------------------------------------------------------------------- grid
 
 
@@ -252,6 +296,74 @@ def test_grid_rejects_degenerate_range(capsys):
         capsys,
     )
     assert code == EXIT_USAGE
+
+
+# ------------------------------------------------------------- CSV values
+
+
+def assert_prints_like_printf(values):
+    x = np.asarray(values, dtype=float)
+    assert cli_module._fixed12(x).tolist() == [b"%.12f" % v for v in x.tolist()]
+
+
+def test_fixed12_on_exact_ties_and_their_neighbours():
+    # m / 8192 for odd m has 13 decimals, the last a 5: a tie at 12 decimals.
+    ties = np.arange(1, 8 * 8192, 2) / 8192
+    for x in (ties, np.nextafter(ties, 0.0), np.nextafter(ties, 10.0)):
+        assert_prints_like_printf(x)
+
+
+def test_fixed12_on_uniform_values():
+    assert_prints_like_printf(np.random.default_rng(10).uniform(0.0, 10.0, 100_000))
+
+
+def test_fixed12_at_the_edges_of_its_domain():
+    # 9.9999999999995 rounds up to 10.000000000000, one character wider.
+    assert_prints_like_printf(
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 5e-13, 9.9999999999995,
+         np.nextafter(10.0, 0.0)]
+    )
+
+
+@given(st.lists(st.floats(0.0, 10.0, exclude_max=True), min_size=1, max_size=50))
+def test_fixed12_on_any_value_of_its_domain(values):
+    assert_prints_like_printf(values)
+
+
+@pytest.mark.parametrize("bad", [-0.0, -5e-324, -1.0, 10.0, 1e300, np.inf, -np.inf, np.nan])
+def test_fixed12_rejects_values_outside_its_domain(bad):
+    with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+        cli_module._fixed12(np.array([1.5, bad]))
+
+
+@pytest.mark.parametrize(
+    "command, field, bad",
+    [("series", "numeric", 10.0), ("series", "gap", -0.0), ("grid", "values", -0.0)],
+)
+def test_csv_values_outside_the_domain_exit_2_before_the_file_opens(
+    command, field, bad, tmp_path, monkeypatch, capsys
+):
+    # The bad value sits in the last writer block, after whole blocks that
+    # would already be written if the check ran block by block.
+    compute = "time_series" if command == "series" else "grid_scan"
+    true_compute = getattr(cli_module, compute)
+
+    def spoiled(*args):
+        result = true_compute(*args)
+        column = getattr(result, field).copy()
+        column.flat[-1] = bad
+        return dataclasses.replace(result, **{field: column})
+
+    monkeypatch.setattr(cli_module, compute, spoiled)
+    argv = {
+        "series": ["series", "--state", "phi+", "--steps", "10000"],
+        "grid": ["grid", "--state", "phi+", "--vary", "ej", "--min", "0", "--max", "0.5"],
+    }[command]
+    out_file = tmp_path / "out.csv"
+    code, _, err = run_cli(argv + ["--out", str(out_file)], capsys)
+    assert code == EXIT_INVARIANT
+    assert f"invariant violation: CSV value {bad!r}" in err
+    assert not out_file.exists()
 
 
 # ----------------------------------------------------------------- verify
