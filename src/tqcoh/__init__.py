@@ -26,7 +26,6 @@ from .evolution import (
     bell_state,
     closed_form_density,
     density_matrix,
-    eigenstate_check,
     evolve,
     numeric_propagator,
 )
@@ -37,12 +36,9 @@ from .linalg import (
 )
 from .model import (
     CircuitParams,
-    FrequencyScales,
     HamiltonianMatrix,
     InputError,
-    build_hamiltonian_explicit,
     build_hamiltonian_tensor,
-    frequency_scales,
     scaled_energies,
 )
 from .scan import (
@@ -66,7 +62,6 @@ __all__ = [
     "DensityMatrixError",
     "EigenConvergenceError",
     "EigenSystem",
-    "FrequencyScales",
     "HamiltonianMatrix",
     "InputError",
     "OperatingPoint",
@@ -78,17 +73,14 @@ __all__ = [
     "__version__",
     "analytic_propagator",
     "bell_state",
-    "build_hamiltonian_explicit",
     "build_hamiltonian_tensor",
     "closed_form_coherence",
     "closed_form_density",
     "coherence_extrema",
     "cross_validate",
     "density_matrix",
-    "eigenstate_check",
     "evolve",
     "find_operating_point",
-    "frequency_scales",
     "grid_scan",
     "hermitian_eigensystem",
     "l1_coherence",

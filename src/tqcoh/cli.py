@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -59,9 +60,39 @@ def _halves(x):
     return hi, x - hi
 
 
-_E12_HI, _E12_LO = _halves(1e12)
 # "00" .. "99" as native uint16, so that one lookup writes two digit bytes.
 _DIGIT_PAIRS = np.array([b"%02d" % d for d in range(100)], dtype="S2").view(np.uint16)
+
+# 1e-5 .. 1e11. Each literal is the correctly rounded 10**k, which for
+# these k is never below 10**k, so a search in this table never puts a
+# value in too high a decade.
+_DECADES = np.array([float(f"1e{k}") for k in range(-5, 12)])
+# 10**0 .. 10**16, each exact.
+_SCALES = np.array([float(10**k) for k in range(17)])
+# The longest finite %.12g: "-1.23456789012e-308".
+_G12_WIDTH = 19
+
+
+@functools.cache
+def _four_digit_tables():
+    """"0000" .. "9999" as native uint32, and the same with trailing zeros as null bytes.
+
+    "1200" becomes "12\\0\\0" and "0000" four null bytes. Built on first use,
+    so that commands without a ``%.12g`` column pay for it neither in
+    start-up time nor in memory, and read-only, because every call shares
+    them.
+    """
+    d = np.arange(10**4)
+    digits = np.stack([d // 10**k % 10 for k in (3, 2, 1, 0)], axis=1).astype(np.uint8)
+    digits += np.uint8(ord("0"))
+    stripped = digits.copy()
+    for k in range(4):
+        # Digit k and every digit after it are zeros.
+        stripped[d % 10 ** (4 - k) == 0, k] = 0
+    tables = digits.view(np.uint32).ravel(), stripped.view(np.uint32).ravel()
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,25 +196,35 @@ def _check_fixed12(*columns: np.ndarray) -> None:
             )
 
 
-def _fixed12(x: np.ndarray) -> np.ndarray:
-    """``b"%.12f" % v`` for every v of x, as a null-padded S16 array.
+def _round_half_even(x, scale) -> np.ndarray:
+    """The integers nearest to the exact products ``x * scale``, ties to even, as int64.
 
-    Exact for the domain of ``_check_fixed12``, with no Python call per
-    value. Dekker's product gives ``x * 1e12 == p + err`` exactly; ``p`` is
-    rounded to the integer n with ties to even on that exact value: up when
-    ``frac(p) - 0.5 > -err``, or when the two are equal and ``floor(p)`` is
-    odd. ``frac(p) - 0.5`` is exact wherever it can decide, because
-    ``p < 1e13 < 2**53``. The 13 digits of n are split 7 + 6 and printed
-    two at a time.
+    Exact where ``0 <= x * scale < 1e13`` and nothing underflows. Dekker's
+    product gives ``x * scale == p + err`` exactly; ``p`` is rounded up
+    when ``frac(p) - 0.5 > -err``, or when the two are equal and
+    ``floor(p)`` is odd. ``frac(p) - 0.5`` is exact wherever it can decide,
+    because ``p < 1e13 < 2**53``.
     """
-    _check_fixed12(x)
-    p = x * 1e12
+    p = x * scale
     hi, lo = _halves(x)
-    err = ((hi * _E12_HI - p) + hi * _E12_LO + lo * _E12_HI) + lo * _E12_LO
+    scale_hi, scale_lo = _halves(scale)
+    err = ((hi * scale_hi - p) + hi * scale_lo + lo * scale_hi) + lo * scale_lo
     whole = np.floor(p)
     past_half = (p - whole) - 0.5
     n = whole.astype(np.int64)
     n += (past_half > -err) | ((past_half == -err) & (n & 1 == 1))
+    return n
+
+
+def _fixed12(x: np.ndarray) -> np.ndarray:
+    """``b"%.12f" % v`` for every v of x, as a null-padded S16 array.
+
+    Exact for the domain of ``_check_fixed12``, with no Python call per
+    value: n is ``x * 1e12`` rounded by ``_round_half_even``, and its 13
+    digits are split 7 + 6 and printed two at a time.
+    """
+    _check_fixed12(x)
+    n = _round_half_even(x, 1e12)
     rest = np.empty((len(n), 2), np.uint32)
     rest[:, 0], rest[:, 1] = np.divmod(n, 10**6)
     pairs = np.empty((len(n), 2, 3), np.uint16)
@@ -201,9 +242,107 @@ def _fixed12(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cells(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Bytes ``start:stop`` of every row of the C-ordered 2-D uint8 array a, as an S view.
+
+    One S item per row copies in one strided loop, where a 2-D slice of
+    a few bytes per row costs a loop call per row.
+    """
+    return np.ndarray(len(a), f"S{stop - start}", a, start, a.strides[:1])
+
+
+def _decade_and_digits(a: np.ndarray):
+    """The decimal exponent X and the 12 significant digits n of ``%.12g`` for each a.
+
+    Meaningful where ``1e-5 <= a < 1e12``; callers pass 1.0 elsewhere.
+    The table search gives a decade e with ``10**e <= a`` that is at most
+    one too low, and n is ``a * 10**(11 - e)`` rounded to an integer. An n
+    above 10**12 means e was too low; an n of exactly 10**12 is the carry
+    to the next decade, which is also where a value one decade too low
+    lands.
+    """
+    k = 17 - np.searchsorted(_DECADES, a, side="right")  # 11 - e
+    n = _round_half_even(a, _SCALES[k])
+    low = np.flatnonzero(n > 10**12)
+    if low.size:
+        k[low] -= 1
+        n[low] = _round_half_even(a[low], _SCALES[k[low]])
+    carry = n == 10**12
+    n[carry] = 10**11
+    return 11 - k + carry, n
+
+
 def _g12(values: np.ndarray) -> np.ndarray:
-    """``b"%.12g" % v`` for every v of values, as a null-padded S array."""
-    return np.array([b"%.12g" % v for v in values.tolist()], dtype="S")
+    """``b"%.12g" % v`` for every v of values, as a null-padded S array.
+
+    Equal to ``np.array([b"%.12g" % v for v in values.tolist()], dtype="S")``
+    for every input. A value whose ``%.12g`` is fixed notation, with a
+    rounded decimal exponent X in -4..11, is printed here from its 12
+    digits; 0, -0.0 and the exponent forms go through ``b"%.12g"`` one at a
+    time. Rows are sorted by (sign, X), so that each group is one slice
+    with one layout: an optional "-", then for X >= 0 the X + 1 integer
+    digits, a "." and the fraction digits; for X < 0 "0." and -X - 1 zeros
+    before all 12 digits. Trailing zeros of the fraction, and the "." when
+    none remain, come out as null bytes from the stripped digit table.
+    """
+    a = np.abs(values)
+    fixed = (a >= 1e-5) & (a < 1e12)
+    exponent, n = _decade_and_digits(np.where(fixed, a, 1.0))
+    fixed &= (exponent >= -4) & (exponent <= 11)
+    # Group key: 16 * sign + X + 4 in the kernel, 32 for "%.12g".
+    group_of = np.signbit(values) * np.uint8(16) + (exponent + 4).astype(np.uint8)
+    key = np.where(fixed, group_of, np.uint8(32))
+    order = np.argsort(key, kind="stable")
+    starts = np.searchsorted(key[order], np.arange(34, dtype=np.uint8))
+    kernel = starts[32]
+
+    digits4, stripped4 = _four_digit_tables()
+    n = n[order[:kernel]]
+    high = n // 10**8
+    low = n - high * 10**8
+    middle = low // 10**4
+    low -= middle * 10**4
+    full = np.stack([digits4[high], digits4[middle], digits4[low]], axis=1)
+    # Only the last nonzero four-digit group loses its trailing zeros.
+    stripped = np.stack(
+        [
+            np.where((middle | low) != 0, full[:, 0], stripped4[high]),
+            np.where(low != 0, full[:, 1], stripped4[middle]),
+            stripped4[low],
+        ],
+        axis=1,
+    )
+    full, stripped = full.view(np.uint8), stripped.view(np.uint8)
+
+    chars = np.zeros((len(values), _G12_WIDTH), np.uint8)
+    for group in np.flatnonzero(starts[1:33] > starts[:32]):
+        rows = slice(starts[group], starts[group + 1])
+        line = chars[rows]
+        sign, x = divmod(int(group), 16)
+        x -= 4
+        prefix = b"-" * sign + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
+        at = len(prefix)
+        if at:
+            _cells(line, 0, at)[...] = prefix
+        if x < 0:
+            _cells(line, at, at + 12)[...] = _cells(stripped[rows], 0, 12)
+            continue
+        _cells(line, at, at + x + 1)[...] = _cells(full[rows], 0, x + 1)
+        if x < 11:
+            point = stripped[rows, x + 1] != 0
+            line[:, at + x + 1] = np.where(point, np.uint8(ord(".")), np.uint8(0))
+            _cells(line, at + x + 2, at + 13)[...] = _cells(stripped[rows], x + 1, 12)
+    rest = order[kernel:]
+    if rest.size:
+        text = [b"%.12g" % v for v in values[rest].tolist()]
+        chars[kernel:] = np.array(text, f"S{_G12_WIDTH}").view(np.uint8).reshape(-1, _G12_WIDTH)
+
+    width = _G12_WIDTH
+    while width > 1 and not chars[:, width - 1].any():
+        width -= 1
+    out = np.empty(len(values), f"S{width}")
+    out[order] = _cells(chars, 0, width)
+    return out
 
 
 def _write_csv_block(stream, columns) -> None:

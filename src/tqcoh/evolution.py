@@ -32,7 +32,6 @@ import numpy as np
 from .linalg import EigenSystem, as_complex_matrix, hermitian_eigensystem
 from .model import (
     CircuitParams,
-    HamiltonianMatrix,
     build_hamiltonian_tensor,
     check_phase,
     scaled_energies,
@@ -48,7 +47,6 @@ __all__ = [
     "bell_state",
     "closed_form_density",
     "density_matrix",
-    "eigenstate_check",
     "evolve",
     "numeric_propagator",
     "spectral_rows",
@@ -317,18 +315,3 @@ def closed_form_density(
         ]
     )
     return DensityMatrix(rho)
-
-
-def eigenstate_check(h: HamiltonianMatrix, state: StateVector) -> float | None:
-    """Return the eigenvalue if ``state`` is an eigenstate of ``h``.
-
-    Tests H|psi> against <psi|H|psi> |psi>; returns the (real) expectation
-    value when the residual is below 1e-10 in max norm, None otherwise.
-    """
-    amp = state.amplitudes
-    h_amp = h.matrix @ amp
-    lam = float(np.vdot(amp, h_amp).real)
-    residual = float(np.max(np.abs(h_amp - lam * amp)))
-    if residual <= 1e-10:
-        return lam
-    return None

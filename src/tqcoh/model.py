@@ -6,9 +6,8 @@ with Josephson energy ``e_j``. All matrices are written in the fixed
 computational basis ``{|00>, |01>, |10>, |11>}``, mapped to indices
 0..3 in that order.
 
-The Hamiltonian is assembled in two deliberately independent ways, once
-from Pauli tensor products and once entry by entry, and the two results
-must agree exactly. Its spectrum carries two frequency scales: a fast one,
+The Hamiltonian is assembled from Pauli tensor products. Its spectrum
+carries two frequency scales: a fast one,
 ``omega_fast = sqrt(16 e_j^2 + (hbar e_m)^2) / 4``, and a slow one,
 ``omega_slow = hbar e_m / 2``.
 """
@@ -22,15 +21,12 @@ import numpy as np
 
 __all__ = [
     "CircuitParams",
-    "FrequencyScales",
     "HamiltonianMatrix",
     "InputError",
     "PAULI_X",
     "PAULI_Z",
-    "build_hamiltonian_explicit",
     "build_hamiltonian_tensor",
     "check_phase",
-    "frequency_scales",
     "scaled_energies",
 ]
 
@@ -115,20 +111,6 @@ class HamiltonianMatrix:
         m.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class FrequencyScales:
-    """The two oscillation scales of the model.
-
-    ``period_fast`` is pi / omega_fast, the period of the coherence
-    oscillation of the non-stationary Bell states; it is None when
-    omega_fast vanishes (constant dynamics).
-    """
-
-    omega_fast: float
-    omega_slow: float
-    period_fast: float | None
-
-
 def build_hamiltonian_tensor(params: CircuitParams) -> HamiltonianMatrix:
     """Assemble the Hamiltonian from Pauli tensor products.
 
@@ -137,25 +119,6 @@ def build_hamiltonian_tensor(params: CircuitParams) -> HamiltonianMatrix:
     coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
     tunnel = -0.5 * params.hbar * params.e_j
     h = coupling * _ZZ + tunnel * _XI + tunnel * _IX
-    return HamiltonianMatrix(h.astype(complex))
-
-
-def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
-    """Write the Hamiltonian matrix entry by entry.
-
-    This must match :func:`build_hamiltonian_tensor` exactly; the two
-    constructions cross-check each other.
-    """
-    coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
-    tunnel = -0.5 * params.hbar * params.e_j
-    h = np.array(
-        [
-            [coupling, tunnel, tunnel, 0.0],
-            [tunnel, -coupling, 0.0, tunnel],
-            [tunnel, 0.0, -coupling, tunnel],
-            [0.0, tunnel, tunnel, coupling],
-        ]
-    )
     return HamiltonianMatrix(h.astype(complex))
 
 
@@ -171,16 +134,6 @@ def scaled_energies(params: CircuitParams) -> tuple[float, float, float]:
     if root == 0.0:
         return 0.0, 0.0, 0.0
     return root, params.e_j / root, params.hbar * params.e_m / root
-
-
-def frequency_scales(params: CircuitParams) -> FrequencyScales:
-    """Fast and slow frequency scales for a parameter point."""
-    omega_fast = 0.25 * scaled_energies(params)[0]
-    omega_slow = 0.5 * params.hbar * params.e_m
-    period = math.pi / omega_fast if omega_fast > 0.0 else None
-    return FrequencyScales(
-        omega_fast=omega_fast, omega_slow=omega_slow, period_fast=period
-    )
 
 
 def check_phase(params: CircuitParams, t, rate: float, hbar: float = 1.0) -> None:

@@ -1,9 +1,11 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from tqcoh.model import CircuitParams
+from tqcoh.evolution import StateVector
+from tqcoh.model import CircuitParams, HamiltonianMatrix, scaled_energies
 
 # Canonical operating point used throughout the docs and figures.
 CANONICAL_PARAMS = CircuitParams(e_j=0.5, e_m=1.5, hbar=1.0)
@@ -60,3 +62,38 @@ def bell_block_spectrum(params: CircuitParams) -> list[float]:
     m = params.hbar**2 * params.e_m / 4.0
     w = math.hypot(m, params.hbar * params.e_j)
     return sorted([-w, -abs(m), abs(m), w])
+
+
+class FrequencyScales(NamedTuple):
+    """The model's two oscillation scales.
+
+    ``period_fast`` is pi / omega_fast, the period of the coherence
+    oscillation of the non-stationary Bell states; it is None when
+    omega_fast vanishes (constant dynamics).
+    """
+
+    omega_fast: float
+    omega_slow: float
+    period_fast: float | None
+
+
+def frequency_scales(params: CircuitParams) -> FrequencyScales:
+    """Fast and slow frequency scales for a parameter point."""
+    omega_fast = 0.25 * scaled_energies(params)[0]
+    period = math.pi / omega_fast if omega_fast > 0.0 else None
+    return FrequencyScales(omega_fast, 0.5 * params.hbar * params.e_m, period)
+
+
+def eigenstate_check(h: HamiltonianMatrix, state: StateVector) -> float | None:
+    """Return the eigenvalue if ``state`` is an eigenstate of ``h``.
+
+    Tests H|psi> against <psi|H|psi> |psi>; returns the (real) expectation
+    value when the residual is below 1e-10 in max norm, None otherwise.
+    """
+    amp = state.amplitudes
+    h_amp = h.matrix @ amp
+    lam = float(np.vdot(amp, h_amp).real)
+    residual = float(np.max(np.abs(h_amp - lam * amp)))
+    if residual <= 1e-10:
+        return lam
+    return None

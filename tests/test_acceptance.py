@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CANONICAL_PARAMS, bell_block_spectrum, random_density
+from conftest import CANONICAL_PARAMS, bell_block_spectrum, eigenstate_check, random_density
 from tqcoh.coherence import (
     closed_form_coherence,
     coherence_extrema,
@@ -27,7 +27,6 @@ from tqcoh.evolution import (
     bell_state,
     closed_form_density,
     density_matrix,
-    eigenstate_check,
     evolve,
 )
 from tqcoh.linalg import hermitian_eigensystem

@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,9 +121,22 @@ def test_series_csv_stable_across_runs(tmp_path, capsys):
              "--t-max", "50", "--steps", "30000"],
             "8dd7fcdf6efb19396476ef1324c6e48e7ce8a677663bdcefc2d7ff5394f997b4",
         ),
+        (
+            # Times 0 and 5e-05 print as "%.12g" one by one; 0.0001 and up
+            # are fixed notation.
+            ["series", "--state", "phi+", "--t-max", "3e-4", "--steps", "7"],
+            "15214dead90fe81d3a8482b798baadea9bad684586dd0f38b7993a286398fbb7",
+        ),
+        (
+            # Every time is 0 or in exponent form; phi- is stationary, so C
+            # is 1 at any t.
+            ["grid", "--state", "phi-", "--vary", "ej", "--min", "0", "--max", "1",
+             "--vsteps", "3", "--steps", "4", "--t-max", "1e300"],
+            "a3c904752f1dfb59015d6aa1694b54edd8837a298cd8315d571eacfb3cf854e7",
+        ),
     ],
     ids=["series", "grid", "series-three-blocks", "grid-blocks", "grid-benchmark-size",
-         "series-benchmark-size"],
+         "series-benchmark-size", "series-exponent-times", "grid-exponent-times"],
 )
 def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
     out_file = tmp_path / "out.csv"
@@ -364,6 +378,77 @@ def test_csv_values_outside_the_domain_exit_2_before_the_file_opens(
     assert code == EXIT_INVARIANT
     assert f"invariant violation: CSV value {bad!r}" in err
     assert not out_file.exists()
+
+
+# ------------------------------------------------------- CSV times and axes
+
+
+def assert_prints_like_g12(values):
+    x = np.asarray(values, dtype=float)
+    expected = np.array([b"%.12g" % v for v in x.tolist()], dtype="S")
+    got = cli_module._g12(x)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+def test_g12_on_any_finite_values(values):
+    assert_prints_like_g12(values)
+
+
+def test_g12_on_ties_and_carries():
+    # A tie at 12 significant digits goes to the even digit (...901.2); the
+    # two carries leave fixed notation (1e+12) and enter it (0.0001).
+    assert_prints_like_g12([12345678901.25, 999999999999.5, 9.9999999999995e-05])
+    # For odd m, m / 2**(12 - X) times 10**(11 - X) is m * 5**(11 - X) / 2:
+    # an exact tie, in decade X for the m drawn here.
+    rng = np.random.default_rng(11)
+    for x in range(-4, 12):
+        five = 5 ** (11 - x)
+        m = 2 * rng.integers(10**11 // five, 10**12 // five, 2000) + 1
+        ties = m / 2.0 ** (12 - x)
+        scaled = Fraction(ties[0]) * 10 ** (11 - x)
+        assert 10**11 < scaled < 10**12 and scaled % 1 == Fraction(1, 2)
+        for values in (ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), -ties):
+            assert_prints_like_g12(values)
+
+
+@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e12, 1e13])
+def test_g12_around_the_notation_switches(edge):
+    below, above = [edge], [edge]
+    for _ in range(4):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    values = np.array(below + above)
+    assert_prints_like_g12(values)
+    assert_prints_like_g12(-values)
+
+
+def test_g12_on_zeros_and_extremes():
+    assert_prints_like_g12(
+        [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    )
+
+
+def test_g12_on_mixed_signs_and_on_a_column_without_fixed_notation():
+    rng = np.random.default_rng(12)
+    assert_prints_like_g12(np.linspace(-5.0, 5.0, 201))
+    assert_prints_like_g12(rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-6, 13, 5000))
+    assert_prints_like_g12([0.0, -0.0, 3e-6, -1e-300, 1e12, -4.5e15, 1e300])
+
+
+@pytest.mark.parametrize("t_max", [3e-4, 50.0, 1e13])
+def test_g12_on_every_block_of_a_series_time_column(t_max):
+    times = np.linspace(0.0, t_max, 30000)
+    for lo in range(0, len(times), cli_module._BLOCK_LINES):
+        assert_prints_like_g12(times[lo : lo + cli_module._BLOCK_LINES])
+
+
+def test_g12_decades_are_never_below_their_powers_of_ten():
+    # The kernel's decade search relies on it: a value is never put in too
+    # high a decade.
+    for k, power in zip(range(-5, 12), cli_module._DECADES.tolist()):
+        assert Fraction(power) >= Fraction(10) ** k
 
 
 # ----------------------------------------------------------------- verify

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import CANONICAL_PARAMS, circuit_params, random_density, times
+from conftest import CANONICAL_PARAMS, circuit_params, frequency_scales, random_density, times
 from tqcoh.coherence import (
     DensityMatrixError,
     closed_form_coherence,
@@ -233,8 +233,6 @@ def test_plus_trajectories_identical_and_bounded(p, t):
 @given(circuit_params(), times())
 @settings(max_examples=100, deadline=None)
 def test_closed_form_periodicity_and_sign_invariance(p, t):
-    from tqcoh.model import frequency_scales
-
     omega = frequency_scales(p).omega_fast
     if omega > 1e-6:  # skip near-degenerate periods
         period = math.pi / omega

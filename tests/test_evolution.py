@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import CANONICAL_PARAMS, circuit_params, times
+from conftest import CANONICAL_PARAMS, circuit_params, eigenstate_check, times
 from tqcoh.evolution import (
     BellLabel,
     DensityMatrix,
@@ -14,7 +14,6 @@ from tqcoh.evolution import (
     bell_state,
     closed_form_density,
     density_matrix,
-    eigenstate_check,
     evolve,
     numeric_propagator,
 )

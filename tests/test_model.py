@@ -5,18 +5,36 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import CANONICAL_PARAMS, bell_block_spectrum, circuit_params
+from conftest import CANONICAL_PARAMS, bell_block_spectrum, circuit_params, frequency_scales
 from tqcoh.linalg import hermitian_eigensystem
 from tqcoh.model import (
     CircuitParams,
-    build_hamiltonian_explicit,
+    HamiltonianMatrix,
     build_hamiltonian_tensor,
     check_phase,
-    frequency_scales,
     scaled_energies,
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+
+
+def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
+    """Write the Hamiltonian matrix entry by entry.
+
+    This must match :func:`build_hamiltonian_tensor` exactly; the two
+    constructions cross-check each other.
+    """
+    coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
+    tunnel = -0.5 * params.hbar * params.e_j
+    h = np.array(
+        [
+            [coupling, tunnel, tunnel, 0.0],
+            [tunnel, -coupling, 0.0, tunnel],
+            [tunnel, 0.0, -coupling, tunnel],
+            [0.0, tunnel, tunnel, coupling],
+        ]
+    )
+    return HamiltonianMatrix(h.astype(complex))
 
 
 def test_params_validation():
