@@ -36,7 +36,6 @@ from .linalg import (
 )
 from .model import (
     CircuitParams,
-    HamiltonianMatrix,
     InputError,
     build_hamiltonian_tensor,
     scaled_energies,
@@ -62,7 +61,6 @@ __all__ = [
     "DensityMatrixError",
     "EigenConvergenceError",
     "EigenSystem",
-    "HamiltonianMatrix",
     "InputError",
     "OperatingPoint",
     "ScanGrid",

@@ -219,11 +219,12 @@ def _round_half_even(x, scale) -> np.ndarray:
 def _fixed12(x: np.ndarray) -> np.ndarray:
     """``b"%.12f" % v`` for every v of x, as a null-padded S16 array.
 
-    Exact for the domain of ``_check_fixed12``, with no Python call per
-    value: n is ``x * 1e12`` rounded by ``_round_half_even``, and its 13
-    digits are split 7 + 6 and printed two at a time.
+    Precondition: every v is in the domain of ``_check_fixed12``, which
+    ``_cmd_series`` and ``_cmd_grid`` check on every column before the
+    file opens. Exact there, with no Python call per value: n is
+    ``x * 1e12`` rounded by ``_round_half_even``, and its 13 digits are
+    split 7 + 6 and printed two at a time.
     """
-    _check_fixed12(x)
     n = _round_half_even(x, 1e12)
     rest = np.empty((len(n), 2), np.uint32)
     rest[:, 0], rest[:, 1] = np.divmod(n, 10**6)

@@ -153,17 +153,19 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-_BELL_AMPLITUDES = {
-    BellLabel.PHI_PLUS: (_SQRT_HALF, 0.0, 0.0, _SQRT_HALF),
-    BellLabel.PSI_PLUS: (0.0, _SQRT_HALF, _SQRT_HALF, 0.0),
-    BellLabel.PHI_MINUS: (_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF),
-    BellLabel.PSI_MINUS: (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0),
+# Each Bell state is sqrt(1/2) s for its sign vector s. Integer signs keep
+# every zero of s s^T positive; with float signs, -1.0 * 0.0 is -0.0.
+_BELL_SIGNS = {
+    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1]),
+    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0]),
+    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1]),
+    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0]),
 }
 
 
 def bell_state(label: BellLabel) -> StateVector:
     """The normalised Bell state for a label."""
-    return StateVector(np.array(_BELL_AMPLITUDES[label], dtype=complex))
+    return StateVector(_SQRT_HALF * _BELL_SIGNS[label])
 
 
 def _propagator_elements(params: CircuitParams, t):
@@ -230,8 +232,7 @@ def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     Hamiltonian parameters, so agreement between the two is a genuine
     cross-validation of the closed forms.
     """
-    h = build_hamiltonian_tensor(params)
-    eig = hermitian_eigensystem(h.matrix)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     matrix = spectral_rows(eig, params, float(t), eig.eigenvectors.conj()).T
     return UnitaryMatrix(matrix)
 
@@ -255,43 +256,21 @@ def density_matrix(state: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(amp, amp.conj()))
 
 
-# Constant density matrices of the two stationary Bell states.
-_PHI_MINUS_RHO = np.array(
-    [
-        [0.5, 0.0, 0.0, -0.5],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [-0.5, 0.0, 0.0, 0.5],
-    ],
-    dtype=complex,
-)
-_PSI_MINUS_RHO = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.5, -0.5, 0.0],
-        [0.0, -0.5, 0.5, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
-
-
 def closed_form_density(
     label: BellLabel, params: CircuitParams, t: float
 ) -> DensityMatrix:
     """The closed-form density matrix rho(t) for a Bell input.
 
     |phi-> and |psi-> only pick up a global phase, so their matrices are
-    constant. For |phi+> and |psi+> the sixteen entries are built from the
-    derived trigonometric expressions; at e_j = e_m = 0 they give
-    rho(t) = rho(0). The phase t root / 4 is checked for every label.
+    the constant s s^T / 2 of their sign vector s. For |phi+> and |psi+>
+    the sixteen entries are built from the derived trigonometric
+    expressions; at e_j = e_m = 0 they give rho(t) = rho(0). The phase t root / 4 is checked for every label.
     """
     root, jr, mr = scaled_energies(params)
     check_phase(params, t, root)
-    if label is BellLabel.PHI_MINUS:
-        return DensityMatrix(_PHI_MINUS_RHO.copy())
-    if label is BellLabel.PSI_MINUS:
-        return DensityMatrix(_PSI_MINUS_RHO.copy())
+    if label.stationary:
+        signs = _BELL_SIGNS[label]
+        return DensityMatrix(0.5 * (signs[:, np.newaxis] * signs))
 
     sf = math.sin(0.25 * t * root)
     cf = math.cos(0.25 * t * root)

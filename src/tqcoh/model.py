@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "CircuitParams",
-    "HamiltonianMatrix",
     "InputError",
     "PAULI_X",
     "PAULI_Z",
@@ -36,8 +35,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _ZZ = np.kron(PAULI_Z, PAULI_Z)
 _XI = np.kron(PAULI_X, np.eye(2))
 _IX = np.kron(np.eye(2), PAULI_X)
-
-_ZERO_PATTERN = ((0, 3), (3, 0), (1, 2), (2, 1))
 
 
 class InputError(ValueError):
@@ -89,37 +86,20 @@ class CircuitParams:
                 )
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """4x4 circuit Hamiltonian in the computational basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError("Hamiltonian is not Hermitian within 1e-12")
-        if (m.imag != 0.0).any():
-            raise ValueError("Hamiltonian entries must be purely real")
-        for i, j in _ZERO_PATTERN:
-            if m[i, j] != 0.0:
-                raise ValueError(f"entry ({i},{j}) must be exactly zero")
-        if m.trace() != 0.0:
-            raise ValueError("Hamiltonian must be traceless")
-        m.setflags(write=False)
-
-
-def build_hamiltonian_tensor(params: CircuitParams) -> HamiltonianMatrix:
-    """Assemble the Hamiltonian from Pauli tensor products.
+def build_hamiltonian_tensor(params: CircuitParams) -> np.ndarray:
+    """The 4x4 Hamiltonian as a read-only complex array, from Pauli tensor products.
 
     H = (hbar^2 e_m / 4) sz(x)sz - (hbar e_j / 2) sx(x)I - (hbar e_j / 2) I(x)sx
+
+    Each entry sums at most one nonzero term, +-coupling or tunnel, both
+    finite by :class:`CircuitParams`; so H is exactly real, symmetric and
+    traceless, with exact zeros at (0,3), (3,0), (1,2) and (2,1).
     """
     coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
     tunnel = -0.5 * params.hbar * params.e_j
-    h = coupling * _ZZ + tunnel * _XI + tunnel * _IX
-    return HamiltonianMatrix(h.astype(complex))
+    h = (coupling * _ZZ + tunnel * _XI + tunnel * _IX).astype(complex)
+    h.setflags(write=False)
+    return h
 
 
 def scaled_energies(params: CircuitParams) -> tuple[float, float, float]:

@@ -64,6 +64,27 @@ THRESHOLD = 1e-9
 # 1 MiB whatever the number of steps.
 _BLOCK_ROWS = 4096
 
+# The most float64 elements numpy can size; beyond it numpy raises a
+# ValueError ("array is too big") instead of a MemoryError.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _check_span(start: float, end: float, steps: int, what: str) -> None:
+    """Raise InputError unless ``steps`` points on [start, end] make a usable axis.
+
+    A finite span (which keeps linspace finite), end above start, and 2 to
+    ``_MAX_FLOATS`` steps. ``what`` names the axis in the message.
+    """
+    span = f"[{start!r}, {end!r}]"
+    if not math.isfinite(end - start):
+        raise InputError(f"{what} needs a finite span, got {span}")
+    if not end > start:
+        raise InputError(f"{what} needs its end above its start, got {span}")
+    if steps < 2:
+        raise InputError(f"{what} needs at least 2 steps, got {steps!r}")
+    if steps > _MAX_FLOATS:
+        raise InputError(f"{what} of {steps!r} steps is too large to allocate")
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -74,15 +95,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        start, end = float(self.t_start), float(self.t_end)
-        span = f"[{start!r}, {end!r}]"
-        # A finite span has finite endpoints and keeps linspace finite.
-        if not math.isfinite(end - start):
-            raise InputError(f"a time grid needs a finite span, got {span}")
-        if not end > start:
-            raise InputError(f"a time grid needs t_end > t_start, got {span}")
-        if self.steps < 2:
-            raise InputError(f"a time grid needs at least 2 steps, got {self.steps!r}")
+        _check_span(float(self.t_start), float(self.t_end), self.steps, "a time grid")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
@@ -145,7 +158,7 @@ def time_series(
     overflow before it is computed.
     """
     times = grid.times()
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(params).matrix)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
     coeffs = eig.eigenvectors.conj().T @ bell_state(label).amplitudes
     numeric = np.empty_like(times)
@@ -178,14 +191,9 @@ def grid_scan(
     if vary not in ("e_j", "e_m"):
         raise InputError(f"cannot vary {vary!r}; pick 'e_j' or 'e_m'")
     lo, hi, steps = float(value_range[0]), float(value_range[1]), value_range[2]
-    span = f"[{lo!r}, {hi!r}]"
-    # A finite span has finite ends and keeps linspace finite.
-    if not math.isfinite(hi - lo):
-        raise InputError(f"a parameter range needs a finite span, got {span}")
-    if not hi > lo:
-        raise InputError(f"a parameter range needs hi > lo, got {span}")
-    if steps < 2:
-        raise InputError(f"a parameter range needs at least 2 steps, got {steps!r}")
+    _check_span(lo, hi, steps, "a parameter range")
+    if steps * grid.steps > _MAX_FLOATS:
+        raise InputError(f"a {steps!r} x {grid.steps!r} grid is too large to allocate")
 
     axis1 = np.linspace(lo, hi, steps)
     axis2 = grid.times()
@@ -323,6 +331,8 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     """
     if draws < 1:
         raise InputError(f"cross-validation needs at least 1 draw, got {draws!r}")
+    if seed < 0:
+        raise InputError(f"cross-validation needs a non-negative seed, got {seed!r}")
     rng = np.random.default_rng(seed)
     names = ("propagator", "density", "coherence", "unitarity")
     # Per check: (max deviation, draw, params, t) of the latest worst draw.

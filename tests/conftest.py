@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tqcoh.evolution import StateVector
-from tqcoh.model import CircuitParams, HamiltonianMatrix, scaled_energies
+from tqcoh.model import CircuitParams, scaled_energies
 
 # Canonical operating point used throughout the docs and figures.
 CANONICAL_PARAMS = CircuitParams(e_j=0.5, e_m=1.5, hbar=1.0)
@@ -22,6 +22,18 @@ def circuit_params() -> st.SearchStrategy[CircuitParams]:
         e_m=energy,
         hbar=st.sampled_from([0.5, 1.0, 2.0]),
     )
+
+
+def magnitudes(zero: bool = True) -> st.SearchStrategy[float]:
+    """|x| log-uniform in 1e-310..1e308; about 1 draw in 30 is 0 when ``zero``."""
+    low = -330.0 if zero else -310.0
+    return st.floats(min_value=low, max_value=308.0).map(
+        lambda e: 10.0**e if e >= -310.0 else 0.0
+    )
+
+
+def signed() -> st.SearchStrategy[float]:
+    return st.tuples(st.booleans(), magnitudes()).map(lambda p: -p[1] if p[0] else p[1])
 
 
 def times() -> st.SearchStrategy[float]:
@@ -84,14 +96,14 @@ def frequency_scales(params: CircuitParams) -> FrequencyScales:
     return FrequencyScales(omega_fast, 0.5 * params.hbar * params.e_m, period)
 
 
-def eigenstate_check(h: HamiltonianMatrix, state: StateVector) -> float | None:
+def eigenstate_check(h: np.ndarray, state: StateVector) -> float | None:
     """Return the eigenvalue if ``state`` is an eigenstate of ``h``.
 
     Tests H|psi> against <psi|H|psi> |psi>; returns the (real) expectation
     value when the residual is below 1e-10 in max norm, None otherwise.
     """
     amp = state.amplitudes
-    h_amp = h.matrix @ amp
+    h_amp = h @ amp
     lam = float(np.vdot(amp, h_amp).real)
     residual = float(np.max(np.abs(h_amp - lam * amp)))
     if residual <= 1e-10:

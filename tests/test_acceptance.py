@@ -226,7 +226,7 @@ def test_criterion_07_regime_law(draw_set):
 def test_criterion_08_spectrum_law(draw_set):
     worst = 0.0
     for params, _ in draw_set:
-        eig = hermitian_eigensystem(build_hamiltonian_tensor(params).matrix)
+        eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
         oracle = bell_block_spectrum(params)
         worst = max(worst, float(np.max(np.abs(eig.eigenvalues - oracle))))
     assert worst <= 1e-10

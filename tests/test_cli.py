@@ -347,7 +347,7 @@ def test_fixed12_on_any_value_of_its_domain(values):
 @pytest.mark.parametrize("bad", [-0.0, -5e-324, -1.0, 10.0, 1e300, np.inf, -np.inf, np.nan])
 def test_fixed12_rejects_values_outside_its_domain(bad):
     with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
-        cli_module._fixed12(np.array([1.5, bad]))
+        cli_module._check_fixed12(np.array([1.5, bad]))
 
 
 @pytest.mark.parametrize(
@@ -623,9 +623,16 @@ def test_coupling_overflow_is_judged_on_the_product(argv, capsys):
         (["verify", "--samples", "0"], "got 0"),
         (["series", "--state", "phi+", "--hbar", "0"], "got 0.0"),
         (["series", "--state", "phi+", "--hbar", "1e200"], "hbar=1e+200"),
+        (["verify", "--seed=-1"], "seed, got -1"),
+        # numpy cannot size these grids: it raises ValueError, not MemoryError.
+        (["series", "--state", "phi+", "--steps", "4611686018427387904"],
+         "4611686018427387904 steps"),
+        (["series", "--state", "phi+", "--steps", "99999999999999999999999"],
+         "99999999999999999999999 steps"),
     ],
     ids=["series-steps", "grid-steps", "grid-vsteps", "t-max", "grid-range", "optimize-window",
-         "verify-samples", "hbar-zero", "hbar-out-of-range"],
+         "verify-samples", "hbar-zero", "hbar-out-of-range", "verify-seed", "series-too-big",
+         "series-beyond-int64"],
 )
 def test_library_input_errors_are_usage_errors(argv, value, tmp_path, capsys):
     out_file = tmp_path / "out"
@@ -759,26 +766,6 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code, _, err = run_cli(argv, capsys)
         assert code == EXIT_OK, (argv, err)
-
-
-def test_make_figure_data_script(tmp_path):
-    script = pathlib.Path(__file__).parent.parent / "scripts" / "make_figure_data.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    expected = {
-        "coherence_vs_time.csv": ("t,c_closed_form,c_numeric,abs_gap", 1002),
-        "coherence_grid_ej.csv": ("e_j,t,value", 10202),
-        "coherence_grid_em.csv": ("e_m,t,value", 10202),
-    }
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(expected)
-    for name, (header, n_lines) in expected.items():
-        lines = (tmp_path / name).read_text().splitlines()
-        assert lines[0] == header
-        assert len(lines) == n_lines
 
 
 def test_subprocess_usage_error_exit_code():

@@ -15,21 +15,10 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import magnitudes, signed
 from tqcoh.cli import main
 
 _STATES = ("phi+", "psi+", "phi-", "psi-")
-
-
-def magnitudes(zero: bool = True) -> st.SearchStrategy[float]:
-    """|x| log-uniform in 1e-310..1e308; about 1 draw in 30 is 0 when ``zero``."""
-    low = -330.0 if zero else -310.0
-    return st.floats(min_value=low, max_value=308.0).map(
-        lambda e: 10.0**e if e >= -310.0 else 0.0
-    )
-
-
-def signed() -> st.SearchStrategy[float]:
-    return st.tuples(st.booleans(), magnitudes()).map(lambda p: -p[1] if p[0] else p[1])
 
 
 def flag(name: str, value) -> str:

@@ -26,16 +26,16 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 def test_bell_states():
-    assert np.array_equal(
-        bell_state(BellLabel.PHI_PLUS).amplitudes,
-        np.array([_SQRT_HALF, 0, 0, _SQRT_HALF], dtype=complex),
-    )
-    assert np.array_equal(
-        bell_state(BellLabel.PSI_MINUS).amplitudes,
-        np.array([0, _SQRT_HALF, -_SQRT_HALF, 0], dtype=complex),
-    )
-    for label in BellLabel:
+    expected = {
+        BellLabel.PHI_PLUS: [_SQRT_HALF, 0, 0, _SQRT_HALF],
+        BellLabel.PSI_PLUS: [0, _SQRT_HALF, _SQRT_HALF, 0],
+        BellLabel.PHI_MINUS: [_SQRT_HALF, 0, 0, -_SQRT_HALF],
+        BellLabel.PSI_MINUS: [0, _SQRT_HALF, -_SQRT_HALF, 0],
+    }
+    for label, amplitudes in expected.items():
         amp = bell_state(label).amplitudes
+        # Bit for bit, signed zeros included.
+        assert amp.tobytes() == np.array(amplitudes, dtype=complex).tobytes()
         assert np.sqrt(np.sum(np.abs(amp) ** 2)) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -199,16 +199,35 @@ def test_density_matrix_type_checks():
     assert err.value.violation == "trace"
 
 
+# Reference density matrices of the two stationary Bell states, written
+# out entry by entry; every zero is +0.0.
+_PHI_MINUS_RHO = np.array(
+    [
+        [0.5, 0.0, 0.0, -0.5],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [-0.5, 0.0, 0.0, 0.5],
+    ],
+    dtype=complex,
+)
+_PSI_MINUS_RHO = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, -0.5, 0.0],
+        [0.0, -0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ],
+    dtype=complex,
+)
+
+
 def test_closed_form_density_stationary_labels():
+    # Bit for bit, signed zeros included.
     for t in (0.0, 1.3, 42.0):
         rho = closed_form_density(BellLabel.PHI_MINUS, CANONICAL_PARAMS, t).matrix
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = expected[3, 3] = 0.5
-        expected[0, 3] = expected[3, 0] = -0.5
-        assert np.array_equal(rho, expected)
-
+        assert rho.tobytes() == _PHI_MINUS_RHO.tobytes()
         rho = closed_form_density(BellLabel.PSI_MINUS, CANONICAL_PARAMS, t).matrix
-        assert rho[1, 1] == 0.5 and rho[1, 2] == -0.5 and rho[0, 0] == 0.0
+        assert rho.tobytes() == _PSI_MINUS_RHO.tobytes()
 
 
 def test_closed_form_density_phi_plus_quarter_period():

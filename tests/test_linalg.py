@@ -25,7 +25,7 @@ def test_eigensystem_circuit_hamiltonian():
     # Independent oracle: reduce to 2x2 blocks in the Bell basis and solve
     # the quadratic; see conftest.bell_block_spectrum.
     p = CircuitParams(e_j=0.5, e_m=1.5, hbar=1.0)
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(p).matrix)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(p))
     assert np.allclose(eig.eigenvalues, [-0.625, -0.375, 0.375, 0.625], atol=1e-10)
     assert np.allclose(eig.eigenvalues, bell_block_spectrum(p), atol=1e-10)
 
@@ -35,7 +35,7 @@ def test_eigensystem_large_energies(energy):
     # The residual grows like eps ||H||_F (8e-10 at 1e6), so the certificate
     # must scale with ||H||_F rather than stop at an absolute 1e-10.
     p = CircuitParams(e_j=energy, e_m=energy, hbar=1.0)
-    h = build_hamiltonian_tensor(p).matrix
+    h = build_hamiltonian_tensor(p)
     eig = hermitian_eigensystem(h)
     values, vectors = eig.eigenvalues, eig.eigenvectors
     scale = np.finfo(float).eps * np.linalg.norm(h)
@@ -47,7 +47,7 @@ def test_eigensystem_large_energies(energy):
 def test_eigensystem_tiny_energies():
     # Squaring entries of 1e-300 underflows to 0; the norms must not.
     p = CircuitParams(e_j=3e-300, e_m=-2e-300, hbar=1.0)
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(p).matrix)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(p))
     expected = np.array(bell_block_spectrum(p))
     assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -60,7 +60,7 @@ def test_eigensystem_tiny_energies():
 def test_eigensystem_subnormal_hamiltonian(params):
     # Every entry of H is below the cutoff at which the rotations zero an
     # off-diagonal entry; only a rescaled solve finds the nonzero spectrum.
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(params).matrix)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     expected = np.array(bell_block_spectrum(params))
     assert np.max(np.abs(eig.eigenvalues - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -127,7 +127,7 @@ def test_eigenvalue_product_matches_block_determinant(p):
     # determinant independently: det = (m^2 + (hbar e_j)^2) * m^2.
     m = p.hbar**2 * p.e_m / 4.0
     det_oracle = (m**2 + (p.hbar * p.e_j) ** 2) * m**2
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(p).matrix)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(p))
     assert abs(np.prod(eig.eigenvalues) - det_oracle) <= 1e-8
 
 
@@ -150,7 +150,7 @@ _DIAGNOSTICS = (
 
 
 def test_convergence_error_reports_diagnostics(monkeypatch):
-    h = build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5)).matrix
+    h = build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5))
     monkeypatch.setattr(linalg_module, "_MAX_SWEEPS", 1)
     with pytest.raises(
         EigenConvergenceError,
@@ -163,7 +163,7 @@ def test_convergence_error_reports_diagnostics(monkeypatch):
 
 def test_certificate_error_reports_diagnostics(monkeypatch):
     # Stopping the sweeps early leaves a residual far above 1e-10.
-    h = build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5)).matrix
+    h = build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5))
     monkeypatch.setattr(linalg_module, "_OFF_FACTOR", 0.5)
     with pytest.raises(
         EigenConvergenceError, match=r"^eigensystem certificate failed: sweeps=1, "

@@ -3,13 +3,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 
-from conftest import CANONICAL_PARAMS, bell_block_spectrum, circuit_params, frequency_scales
+from conftest import (
+    CANONICAL_PARAMS,
+    bell_block_spectrum,
+    circuit_params,
+    frequency_scales,
+    magnitudes,
+    signed,
+)
 from tqcoh.linalg import hermitian_eigensystem
 from tqcoh.model import (
     CircuitParams,
-    HamiltonianMatrix,
+    InputError,
     build_hamiltonian_tensor,
     check_phase,
     scaled_energies,
@@ -18,7 +25,7 @@ from tqcoh.model import (
 _SQRT_HALF = math.sqrt(0.5)
 
 
-def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
+def build_hamiltonian_explicit(params: CircuitParams) -> np.ndarray:
     """Write the Hamiltonian matrix entry by entry.
 
     This must match :func:`build_hamiltonian_tensor` exactly; the two
@@ -34,7 +41,7 @@ def build_hamiltonian_explicit(params: CircuitParams) -> HamiltonianMatrix:
             [0.0, tunnel, tunnel, coupling],
         ]
     )
-    return HamiltonianMatrix(h.astype(complex))
+    return h.astype(complex)
 
 
 def test_params_validation():
@@ -68,12 +75,12 @@ def test_params_accept_large_finite_scales():
 
 def test_zero_parameters_give_zero_hamiltonian():
     h = build_hamiltonian_tensor(CircuitParams(e_j=0.0, e_m=0.0))
-    assert np.array_equal(h.matrix, np.zeros((4, 4)))
+    assert np.array_equal(h, np.zeros((4, 4)))
 
 
 def test_tensor_construction_canonical_point():
     # Hand substitution: hbar^2 e_m / 4 = 0.375, hbar e_j / 2 = 0.25.
-    h = build_hamiltonian_tensor(CANONICAL_PARAMS).matrix
+    h = build_hamiltonian_tensor(CANONICAL_PARAMS)
     assert np.array_equal(np.diag(h).real, [0.375, -0.375, -0.375, 0.375])
     off_positions = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
     for i, j in off_positions:
@@ -83,12 +90,12 @@ def test_tensor_construction_canonical_point():
 
 
 def test_tensor_construction_coupling_only():
-    h = build_hamiltonian_tensor(CircuitParams(e_j=0.0, e_m=1.0, hbar=2.0)).matrix
+    h = build_hamiltonian_tensor(CircuitParams(e_j=0.0, e_m=1.0, hbar=2.0))
     assert np.array_equal(h, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
 
 
 def test_explicit_construction_tunnelling_only():
-    h = build_hamiltonian_explicit(CircuitParams(e_j=1.0, e_m=0.0)).matrix
+    h = build_hamiltonian_explicit(CircuitParams(e_j=1.0, e_m=0.0))
     assert np.array_equal(np.diag(h), np.zeros(4))
     assert h[0, 1] == -0.5 and h[2, 3] == -0.5
 
@@ -98,7 +105,25 @@ def test_explicit_construction_tunnelling_only():
 def test_dual_construction_equality(p):
     tensor = build_hamiltonian_tensor(p)
     explicit = build_hamiltonian_explicit(p)
-    assert np.array_equal(tensor.matrix, explicit.matrix)
+    assert np.array_equal(tensor, explicit)
+
+
+@given(signed(), signed(), magnitudes(zero=False))
+def test_hamiltonian_is_exact_over_the_accepted_domain(e_j, e_m, hbar):
+    # Each entry has at most one nonzero term, so these hold exactly, with
+    # no tolerance, for every parameter set that CircuitParams accepts.
+    try:
+        p = CircuitParams(e_j=e_j, e_m=e_m, hbar=hbar)
+    except InputError:
+        reject()
+    h = build_hamiltonian_tensor(p)
+    assert h.shape == (4, 4) and not h.flags.writeable
+    assert (h.imag == 0.0).all()
+    assert np.array_equal(h, h.T)
+    assert h.trace() == 0.0
+    for i, j in [(0, 3), (3, 0), (1, 2), (2, 1)]:
+        assert h[i, j] == 0.0
+    assert np.array_equal(h, build_hamiltonian_explicit(p))
 
 
 def test_dual_construction_equality_bulk():
@@ -110,12 +135,12 @@ def test_dual_construction_equality_bulk():
             hbar=float(rng.choice([0.5, 1.0, 2.0])),
         )
         assert np.array_equal(
-            build_hamiltonian_tensor(p).matrix, build_hamiltonian_explicit(p).matrix
+            build_hamiltonian_tensor(p), build_hamiltonian_explicit(p)
         )
 
 
 def _spectrum(p: CircuitParams) -> np.ndarray:
-    return hermitian_eigensystem(build_hamiltonian_tensor(p).matrix).eigenvalues
+    return hermitian_eigensystem(build_hamiltonian_tensor(p)).eigenvalues
 
 
 def test_spectral_decompose_examples():
@@ -135,7 +160,7 @@ def test_spectrum_matches_block_reduction(p):
 @given(circuit_params())
 @settings(max_examples=100)
 def test_singlet_like_states_are_eigenvectors(p):
-    h = build_hamiltonian_tensor(p).matrix
+    h = build_hamiltonian_tensor(p)
     m = p.hbar**2 * p.e_m / 4.0
     phi_minus = np.array([_SQRT_HALF, 0.0, 0.0, -_SQRT_HALF], dtype=complex)
     psi_minus = np.array([0.0, _SQRT_HALF, -_SQRT_HALF, 0.0], dtype=complex)
@@ -213,4 +238,4 @@ def test_frequency_quadratic_identity(p):
 def test_hamiltonian_matrix_is_read_only():
     h = build_hamiltonian_tensor(CANONICAL_PARAMS)
     with pytest.raises(ValueError):
-        h.matrix[0, 0] = 9.0
+        h[0, 0] = 9.0

@@ -41,6 +41,7 @@ def test_time_grid_validation():
         TimeGrid(0.0, 10.0, 1)
     with pytest.raises(ValueError):
         TimeGrid(5.0, 5.0, 10)
+    TimeGrid(0.0, 1.0, 2**60 - 1)  # the most numpy can size; nothing is allocated
     grid = TimeGrid(0.0, 10.0, 11)
     times = grid.times()
     assert times[0] == 0.0 and times[-1] == 10.0 and len(times) == 11
@@ -188,6 +189,18 @@ def test_grid_checks_every_row_before_computing_any(monkeypatch):
     assert computed == []
 
 
+def test_grid_too_large_to_size_is_rejected_before_any_axis(monkeypatch):
+    # Each axis alone is in range; their 2**62 cells are not. The stand-in
+    # linspace shows that no axis is allocated. A real 2**31 axis is 16 GiB,
+    # which can succeed under memory overcommit and then exhaust memory.
+    def allocate(*args):
+        raise AssertionError("an axis was allocated")
+
+    monkeypatch.setattr(np, "linspace", allocate)
+    with pytest.raises(InputError, match="2147483648 x 2147483648 grid"):
+        grid_scan(*_CANONICAL, "e_m", (0.0, 1.0, 2**31), TimeGrid(0.0, 1.0, 2**31))
+
+
 @pytest.mark.parametrize(
     "call, value",
     [
@@ -199,6 +212,7 @@ def test_grid_checks_every_row_before_computing_any(monkeypatch):
         (lambda: TimeGrid(-1e308, 1e308, 3), "[-1e+308, 1e+308]"),
         (lambda: TimeGrid(0.0, 0.0, 3), "[0.0, 0.0]"),
         (lambda: TimeGrid(0.0, 1.0, 1), "got 1"),
+        (lambda: TimeGrid(0.0, 1.0, 2**60), "1152921504606846976 steps"),
         (lambda: _scan((0.0, 1.0, 3), vary="hbar"), "'hbar'"),
         # Non-finite ends: np.linspace warns before a later check.
         (lambda: _scan((0.0, math.inf, 3)), "[0.0, inf]"),
@@ -214,11 +228,12 @@ def test_grid_checks_every_row_before_computing_any(monkeypatch):
         (lambda: find_operating_point(*_CANONICAL, (0.0, 1.0), "minimize"),
          "'minimize'"),
         (lambda: cross_validate(0, 1), "got 0"),
+        (lambda: cross_validate(1, -1), "seed, got -1"),
     ],
     ids=["params-finite", "params-hbar", "params-overflow", "grid-finite", "grid-span",
-         "grid-empty", "grid-steps", "scan-vary", "scan-inf-hi", "scan-inf-lo", "scan-nan-lo",
-         "scan-span", "scan-range", "scan-steps", "window-finite", "window-empty", "objective",
-         "draws"],
+         "grid-empty", "grid-steps", "grid-size", "scan-vary", "scan-inf-hi", "scan-inf-lo",
+         "scan-nan-lo", "scan-span", "scan-range", "scan-steps", "window-finite", "window-empty",
+         "objective", "draws", "seed"],
 )
 def test_input_checks_raise_input_error_naming_the_value(call, value):
     with pytest.raises(InputError) as err:
