@@ -30,6 +30,7 @@ from .evolution import BellLabel, analytic_propagator, bell_state, density_matri
 from .linalg import EigenConvergenceError
 from .model import CircuitParams, InputError
 from .scan import (
+    _BLOCK_ROWS,
     CoherenceSeries,
     ScanGrid,
     TimeGrid,
@@ -46,10 +47,6 @@ EXIT_IO = 3
 
 _STATE_CHOICES = ("phi+", "psi+", "phi-", "psi-")
 
-# Lines formatted per write by the CSV writers. Larger blocks add peak
-# memory and were no faster at 30000 and 40000 lines.
-_BLOCK_LINES = 2048
-
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
 
@@ -59,9 +56,6 @@ def _halves(x):
     hi = t - (t - x)
     return hi, x - hi
 
-
-# "00" .. "99" as native uint16, so that one lookup writes two digit bytes.
-_DIGIT_PAIRS = np.array([b"%02d" % d for d in range(100)], dtype="S2").view(np.uint16)
 
 # 1e-5 .. 1e11. Each literal is the correctly rounded 10**k, which for
 # these k is never below 10**k, so a search in this table never puts a
@@ -78,9 +72,8 @@ def _four_digit_tables():
     """"0000" .. "9999" as native uint32, and the same with trailing zeros as null bytes.
 
     "1200" becomes "12\\0\\0" and "0000" four null bytes. Built on first use,
-    so that commands without a ``%.12g`` column pay for it neither in
-    start-up time nor in memory, and read-only, because every call shares
-    them.
+    so that commands without a CSV column pay for it neither in start-up
+    time nor in memory, and read-only, because every call shares them.
     """
     d = np.arange(10**4)
     digits = np.stack([d // 10**k % 10 for k in (3, 2, 1, 0)], axis=1).astype(np.uint8)
@@ -93,6 +86,15 @@ def _four_digit_tables():
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _four_digit_groups(n: np.ndarray):
+    """Each n below 10**12 as three four-digit groups: high, middle and low."""
+    high = n // 10**8
+    low = n - high * 10**8
+    middle = low // 10**4
+    low -= middle * 10**4
+    return high, middle, low
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,9 +117,15 @@ def _finite(text: str) -> float:
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
+    p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     p.add_argument("--ej", type=_finite, default=0.5, help="Josephson energy (default 0.5)")
     p.add_argument("--em", type=_finite, default=1.5, help="mutual coupling energy (default 1.5)")
     p.add_argument("--hbar", type=_finite, default=1.0, help="hbar in model units (default 1)")
+
+
+def _add_output_flags(p: argparse.ArgumentParser):
+    p.add_argument("--out", default="-")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> _Parser:
@@ -126,20 +134,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evolve", help="propagate one Bell state and print rho and C")
-    p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
     p.add_argument("--t", type=_finite, default=0.0, help="evolution time (default 0)")
+    p.set_defaults(run=_cmd_evolve)
 
     p = sub.add_parser("series", help="sample C(t) on a time grid into a data file")
-    p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
     p.add_argument("--t-max", type=_finite, default=10.0)
     p.add_argument("--steps", type=int, default=1001)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(p)
+    p.set_defaults(run=_cmd_series)
 
     p = sub.add_parser("grid", help="scan C over (parameter, time) into a data file")
-    p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
     p.add_argument("--t-max", type=_finite, default=10.0)
     p.add_argument("--steps", type=int, default=101)
@@ -147,20 +153,21 @@ def build_parser() -> _Parser:
     p.add_argument("--min", type=_finite, required=True)
     p.add_argument("--max", type=_finite, required=True)
     p.add_argument("--vsteps", type=int, default=101)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_output_flags(p)
+    p.set_defaults(run=_cmd_grid)
 
     p = sub.add_parser("verify", help="run the closed-form vs numeric validation sweep")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("optimize", help="search a time window for an operating point")
-    p.add_argument("--state", choices=_STATE_CHOICES, required=True)
     _add_param_flags(p)
     p.add_argument("--t-min", type=_finite, default=0.0)
     p.add_argument("--t-max", type=_finite, default=10.0)
     p.add_argument("--objective", choices=("maximize", "stabilize"), default="maximize")
+    p.set_defaults(run=_cmd_optimize)
 
     return parser
 
@@ -174,15 +181,16 @@ def _write_out(path: str, write) -> None:
         write(stream)
 
 
-def _meta(args, extra: dict | None = None) -> dict:
+def _write_json(stream, args, meta: dict, data: dict) -> None:
+    """Write ``{"meta": ..., "data": data}``: state, params and version, then ``meta``'s keys."""
     meta = {
         "state": args.state,
         "params": {"e_j": args.ej, "e_m": args.em, "hbar": args.hbar},
         "version": __version__,
+        **meta,
     }
-    if extra:
-        meta.update(extra)
-    return meta
+    json.dump({"meta": meta, "data": data}, stream, indent=2)
+    stream.write("\n")
 
 
 def _check_fixed12(*columns: np.ndarray) -> None:
@@ -222,34 +230,30 @@ def _fixed12(x: np.ndarray) -> np.ndarray:
     Precondition: every v is in the domain of ``_check_fixed12``, which
     ``_cmd_series`` and ``_cmd_grid`` check on every column before the
     file opens. Exact there, with no Python call per value: n is
-    ``x * 1e12`` rounded by ``_round_half_even``, and its 13 digits are
-    split 7 + 6 and printed two at a time.
+    ``x * 1e12`` rounded by ``_round_half_even``; its units digit is
+    printed on its own and its 12 decimals from three four-digit groups.
     """
     n = _round_half_even(x, 1e12)
-    rest = np.empty((len(n), 2), np.uint32)
-    rest[:, 0], rest[:, 1] = np.divmod(n, 10**6)
-    pairs = np.empty((len(n), 2, 3), np.uint16)
-    for k in (2, 1, 0):
-        quotient = rest // 100
-        pairs[:, :, k] = _DIGIT_PAIRS[rest - 100 * quotient]
-        rest = quotient
-    units = rest[:, 0]  # 10 where v rounds up to 10
+    units = n // 10**12  # 10 where v rounds up to 10
+    digits4 = _four_digit_tables()[0]
+    groups = _four_digit_groups(n - units * 10**12)
+    decimals = np.stack([digits4[g] for g in groups], axis=1).view(np.uint8)
     chars = np.zeros((len(n), 16), np.uint8)
     chars[:, 0] = ord("0") + units
     chars[:, 1] = ord(".")
-    chars.view(np.uint16)[:, 1:7] = pairs.reshape(len(n), 6)
+    _cells(chars, 2, 14)[...] = _cells(decimals, 0, 12)
     out = chars.view("S16").ravel()
     out[units == 10] = b"10.000000000000"
     return out
 
 
 def _cells(a: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Bytes ``start:stop`` of every row of the C-ordered 2-D uint8 array a, as an S view.
+    """Bytes ``start:stop`` of every row of the 2-D uint8 array a, as an S view.
 
     One S item per row copies in one strided loop, where a 2-D slice of
     a few bytes per row costs a loop call per row.
     """
-    return np.ndarray(len(a), f"S{stop - start}", a, start, a.strides[:1])
+    return a[:, start:stop].view(f"S{stop - start}")[:, 0]
 
 
 def _decade_and_digits(a: np.ndarray):
@@ -298,11 +302,7 @@ def _g12(values: np.ndarray) -> np.ndarray:
     kernel = starts[32]
 
     digits4, stripped4 = _four_digit_tables()
-    n = n[order[:kernel]]
-    high = n // 10**8
-    low = n - high * 10**8
-    middle = low // 10**4
-    low -= middle * 10**4
+    high, middle, low = _four_digit_groups(n[order[:kernel]])
     full = np.stack([digits4[high], digits4[middle], digits4[low]], axis=1)
     # Only the last nonzero four-digit group loses its trailing zeros.
     stripped = np.stack(
@@ -366,8 +366,8 @@ def _write_csv_block(stream, columns) -> None:
 def _write_series(series: CoherenceSeries, args, stream):
     if args.format == "csv":
         stream.write("t,c_closed_form,c_numeric,abs_gap\n")
-        for lo in range(0, len(series.gap), _BLOCK_LINES):
-            block = slice(lo, lo + _BLOCK_LINES)
+        for lo in range(0, len(series.gap), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
             _write_csv_block(
                 stream,
                 [
@@ -378,56 +378,50 @@ def _write_series(series: CoherenceSeries, args, stream):
                 ],
             )
     else:
-        doc = {
-            "meta": _meta(
-                args,
-                {"grid": {"t_start": 0.0, "t_end": args.t_max, "steps": args.steps}},
-            ),
-            "data": {
+        _write_json(
+            stream,
+            args,
+            {"grid": {"t_start": 0.0, "t_end": args.t_max, "steps": args.steps}},
+            {
                 "t": series.times.tolist(),
                 "c_closed_form": series.closed_form.tolist(),
                 "c_numeric": series.numeric.tolist(),
                 "abs_gap": series.gap.tolist(),
             },
-        }
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
+        )
 
 
 def _write_grid(gridval: ScanGrid, args, stream):
     if args.format == "csv":
         stream.write(f"{gridval.axis1_name},{gridval.axis2_name},value\n")
         heads, times = _g12(gridval.axis1), _g12(gridval.axis2)
-        rows = max(1, _BLOCK_LINES // len(times))
+        rows = max(1, _BLOCK_ROWS // len(times))
         for lo in range(0, len(heads), rows):
             values = gridval.values[lo : lo + rows]
             cells = _fixed12(values.ravel()).reshape(values.shape)
             _write_csv_block(stream, [heads[lo : lo + rows, None], times, cells])
     else:
         n1, n2 = gridval.values.shape
-        doc = {
-            "meta": _meta(
-                args,
-                {
-                    "vary": gridval.axis1_name,
-                    "grid": {
-                        "t_start": 0.0,
-                        "t_end": args.t_max,
-                        "steps": args.steps,
-                        "vary_min": args.min,
-                        "vary_max": args.max,
-                        "vary_steps": args.vsteps,
-                    },
+        _write_json(
+            stream,
+            args,
+            {
+                "vary": gridval.axis1_name,
+                "grid": {
+                    "t_start": 0.0,
+                    "t_end": args.t_max,
+                    "steps": args.steps,
+                    "vary_min": args.min,
+                    "vary_max": args.max,
+                    "vary_steps": args.vsteps,
                 },
-            ),
-            "data": {
+            },
+            {
                 gridval.axis1_name: np.repeat(gridval.axis1, n2).tolist(),
                 gridval.axis2_name: np.tile(gridval.axis2, n1).tolist(),
                 "value": gridval.values.ravel().tolist(),
             },
-        }
-        json.dump(doc, stream, indent=2)
-        stream.write("\n")
+        )
 
 
 def _cmd_evolve(args) -> int:
@@ -524,15 +518,6 @@ def _cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-_DISPATCH = {
-    "evolve": _cmd_evolve,
-    "series": _cmd_series,
-    "grid": _cmd_grid,
-    "verify": _cmd_verify,
-    "optimize": _cmd_optimize,
-}
-
-
 _PARSER: _Parser | None = None
 
 
@@ -545,7 +530,7 @@ def main(argv=None) -> int:
     parser = _PARSER
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         # argparse raises SystemExit for --help/--version (code 0) and for
         # usage errors (code from _Parser.error).

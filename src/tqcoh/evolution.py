@@ -201,8 +201,7 @@ def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
         [u12, u23, u22, u12],
         [u14, u12, u12, u11],
     ]
-    out = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-    return out
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:

@@ -59,10 +59,10 @@ MECHANISM_NONE = "not stationary: set e_j = 0 to freeze C at 1"
 # The largest deviation a :func:`cross_validate` check may record and pass.
 THRESHOLD = 1e-9
 
-# Rows of the numeric column computed per block in :func:`time_series`.
-# The per-block arrays (N x 4 states, N x 4 x 4 moduli) then stay near
-# 1 MiB whatever the number of steps.
-_BLOCK_ROWS = 4096
+# Rows per block of the numeric column in :func:`time_series`, and of
+# the CLI's CSV writers. The per-block arrays (N x 4 states, N x 4 x 4
+# moduli) then stay near 0.5 MiB whatever the number of steps.
+_BLOCK_ROWS = 2048
 
 # The most float64 elements numpy can size; beyond it numpy raises a
 # ValueError ("array is too big") instead of a MemoryError.
@@ -274,9 +274,10 @@ def find_operating_point(
 
     # Equal-value maxima recur every period; prefer the earliest time among
     # candidates within float noise of the best.
-    best_value = max(value(c) for c in candidates)
-    best = min(c for c in candidates if value(c) >= best_value - 1e-12)
-    return OperatingPoint(t=best, coherence=value(best))
+    scored = [(value(c), c) for c in candidates]
+    top = max(v for v, _ in scored)
+    best, coherence = min((c, v) for v, c in scored if v >= top - 1e-12)
+    return OperatingPoint(t=best, coherence=coherence)
 
 
 @dataclass(frozen=True)

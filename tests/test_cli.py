@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -98,8 +99,8 @@ def test_series_csv_stable_across_runs(tmp_path, capsys):
             "1cc09f37cf872f5731125daa28c5217b2710bc9b0ac25731d36b98e84c6da418",
         ),
         (
-            # 10000 rows: two full 4096-row blocks of the numeric column
-            # and a partial third.
+            # 10000 rows: four full 2048-row blocks of the numeric column
+            # and of the writer, and a partial fifth.
             ["series", "--state", "psi+", "--ej", "1.3", "--em=-0.7", "--hbar", "2",
              "--t-max", "40", "--steps", "10000"],
             "9b8f5e54b7d18751dca401fea11b2e19c5f3fbcb81f98ac083c7f9d437ace9f4",
@@ -143,6 +144,29 @@ def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
     code, _, _ = run_cli(argv + ["--out", str(out_file)], capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
+# Whole-document digests of the JSON writer: key order, indentation,
+# float repr and the closing newline.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["series", "--state", "phi+", "--steps", "5", "--format", "json"],
+            "fffbffc9099d232970a0e4ce10fb232bad3295f12760d79b160a7e9ae951844d",
+        ),
+        (
+            ["grid", "--state", "psi+", "--vary", "em", "--min=-1.5", "--max", "1.5",
+             "--vsteps", "3", "--steps", "4", "--format", "json"],
+            "9707ddd61b5748c212ee7ce4811fc85fc5373c5b3227cc3fc1e6b3e6b4230d87",
+        ),
+    ],
+    ids=["series", "grid"],
+)
+def test_json_golden_bytes(argv, digest, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 def test_series_to_stdout(capsys):
@@ -440,8 +464,8 @@ def test_g12_on_mixed_signs_and_on_a_column_without_fixed_notation():
 @pytest.mark.parametrize("t_max", [3e-4, 50.0, 1e13])
 def test_g12_on_every_block_of_a_series_time_column(t_max):
     times = np.linspace(0.0, t_max, 30000)
-    for lo in range(0, len(times), cli_module._BLOCK_LINES):
-        assert_prints_like_g12(times[lo : lo + cli_module._BLOCK_LINES])
+    for lo in range(0, len(times), scan_module._BLOCK_ROWS):
+        assert_prints_like_g12(times[lo : lo + scan_module._BLOCK_ROWS])
 
 
 def test_g12_decades_are_never_below_their_powers_of_ten():
@@ -683,6 +707,57 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert builds == [1]
     default = {"e_j": 0.5, "e_m": 1.5, "hbar": 1.0}
     assert metas == [{"e_j": 2.0, "e_m": 1.5, "hbar": 0.5}, default, default]
+
+
+_PARAMS = [
+    (("--state",), None, True, ("phi+", "psi+", "phi-", "psi-")),
+    (("--ej",), 0.5, False, None),
+    (("--em",), 1.5, False, None),
+    (("--hbar",), 1.0, False, None),
+]
+_OUTPUT = [(("--out",), "-", False, None), (("--format",), "csv", False, ("csv", "json"))]
+
+
+def test_each_subcommand_keeps_its_arguments_in_order():
+    # (option strings, default, required, choices) of every argument but
+    # --help; the help text itself wraps with COLUMNS and the Python version.
+    expected = {
+        "evolve": _PARAMS + [(("--t",), 0.0, False, None)],
+        "series": _PARAMS + [
+            (("--t-max",), 10.0, False, None),
+            (("--steps",), 1001, False, None),
+        ] + _OUTPUT,
+        "grid": _PARAMS + [
+            (("--t-max",), 10.0, False, None),
+            (("--steps",), 101, False, None),
+            (("--vary",), None, True, ("ej", "em")),
+            (("--min",), None, True, None),
+            (("--max",), None, True, None),
+            (("--vsteps",), 101, False, None),
+        ] + _OUTPUT,
+        "verify": [
+            (("--samples",), 1000, False, None),
+            (("--seed",), 42, False, None),
+            (("--format",), "text", False, ("text", "json")),
+        ],
+        "optimize": _PARAMS + [
+            (("--t-min",), 0.0, False, None),
+            (("--t-max",), 10.0, False, None),
+            (("--objective",), "maximize", False, ("maximize", "stabilize")),
+        ],
+    }
+    parser = cli_module.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [
+            (tuple(a.option_strings), a.default, a.required, a.choices)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == expected
+    assert list(found) == list(expected)
 
 
 # ------------------------------------------------------------- end to end
