@@ -45,18 +45,6 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-_STATE_CHOICES = ("phi+", "psi+", "phi-", "psi-")
-
-_VELTKAMP = 134217729.0  # 2**27 + 1
-
-
-def _halves(x):
-    """Veltkamp's split: ``x == hi + lo`` exactly, each half with at most 26 significant bits."""
-    t = _VELTKAMP * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
 # 1e-5 .. 1e11. Each literal is the correctly rounded 10**k, which for
 # these k is never below 10**k, so a search in this table never puts a
 # value in too high a decade.
@@ -117,7 +105,7 @@ def _finite(text: str) -> float:
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--state", choices=_STATE_CHOICES, required=True)
+    p.add_argument("--state", choices=tuple(label.value for label in BellLabel), required=True)
     p.add_argument("--ej", type=_finite, default=0.5, help="Josephson energy (default 0.5)")
     p.add_argument("--em", type=_finite, default=1.5, help="mutual coupling energy (default 1.5)")
     p.add_argument("--hbar", type=_finite, default=1.0, help="hbar in model units (default 1)")
@@ -207,20 +195,22 @@ def _check_fixed12(*columns: np.ndarray) -> None:
 def _round_half_even(x, scale) -> np.ndarray:
     """The integers nearest to the exact products ``x * scale``, ties to even, as int64.
 
-    Exact where ``0 <= x * scale < 1e13`` and nothing underflows. Dekker's
-    product gives ``x * scale == p + err`` exactly; ``p`` is rounded up
-    when ``frac(p) - 0.5 > -err``, or when the two are equal and
-    ``floor(p)`` is odd. ``frac(p) - 0.5`` is exact wherever it can decide,
-    because ``p < 1e13 < 2**53``.
+    Exact where ``0 <= x * scale < 1e13`` and every scale is an integer.
+    The float product p is within ``spacing(p) / 2`` of the exact one, so
+    ``rint(p)`` can round the wrong way only where a half-integer h lies
+    that close to p. Below 1e13 < 2**44 both p and h are multiples of
+    ``spacing(p)``, so h is p itself. ``p - floor(p)`` is exact, and only
+    the products it shows to be half-integers are rounded again, exactly,
+    on Python integers.
     """
     p = x * scale
-    hi, lo = _halves(x)
-    scale_hi, scale_lo = _halves(scale)
-    err = ((hi * scale_hi - p) + hi * scale_lo + lo * scale_hi) + lo * scale_lo
-    whole = np.floor(p)
-    past_half = (p - whole) - 0.5
-    n = whole.astype(np.int64)
-    n += (past_half > -err) | ((past_half == -err) & (n & 1 == 1))
+    n = np.rint(p).astype(np.int64)
+    near = np.flatnonzero(p - np.floor(p) == 0.5)
+    scales = np.broadcast_to(scale, p.shape)[near].tolist()
+    for i, v, s in zip(near.tolist(), x[near].tolist(), scales):
+        num, den = v.as_integer_ratio()
+        q, r = divmod(num * int(s), den)
+        n[i] = q + (2 * r > den or (2 * r == den and q % 2 == 1))
     return n
 
 
@@ -281,25 +271,23 @@ def _g12(values: np.ndarray) -> np.ndarray:
     """``b"%.12g" % v`` for every v of values, as a null-padded S array.
 
     Equal to ``np.array([b"%.12g" % v for v in values.tolist()], dtype="S")``
-    for every input. A value whose ``%.12g`` is fixed notation, with a
-    rounded decimal exponent X in -4..11, is printed here from its 12
-    digits; 0, -0.0 and the exponent forms go through ``b"%.12g"`` one at a
-    time. Rows are sorted by (sign, X), so that each group is one slice
-    with one layout: an optional "-", then for X >= 0 the X + 1 integer
-    digits, a "." and the fraction digits; for X < 0 "0." and -X - 1 zeros
-    before all 12 digits. Trailing zeros of the fraction, and the "." when
-    none remain, come out as null bytes from the stripped digit table.
+    for every input. A positive value whose ``%.12g`` is fixed notation,
+    with a rounded decimal exponent X in -4..11, is printed here from its
+    12 digits; 0, negative values and the exponent forms go through
+    ``b"%.12g"`` one at a time. Rows are sorted by X, so that each group
+    is one slice with one layout: for X >= 0 the X + 1 integer digits, a
+    "." and the fraction digits; for X < 0 "0." and -X - 1 zeros before
+    all 12 digits. Trailing zeros of the fraction, and the "." when none
+    remain, come out as null bytes from the stripped digit table.
     """
-    a = np.abs(values)
-    fixed = (a >= 1e-5) & (a < 1e12)
-    exponent, n = _decade_and_digits(np.where(fixed, a, 1.0))
+    fixed = (values >= 1e-5) & (values < 1e12)
+    exponent, n = _decade_and_digits(np.where(fixed, values, 1.0))
     fixed &= (exponent >= -4) & (exponent <= 11)
-    # Group key: 16 * sign + X + 4 in the kernel, 32 for "%.12g".
-    group_of = np.signbit(values) * np.uint8(16) + (exponent + 4).astype(np.uint8)
-    key = np.where(fixed, group_of, np.uint8(32))
+    # Group key: X + 4 in the kernel, 16 for "%.12g".
+    key = np.where(fixed, (exponent + 4).astype(np.uint8), np.uint8(16))
     order = np.argsort(key, kind="stable")
-    starts = np.searchsorted(key[order], np.arange(34, dtype=np.uint8))
-    kernel = starts[32]
+    starts = np.searchsorted(key[order], np.arange(18, dtype=np.uint8))
+    kernel = starts[16]
 
     digits4, stripped4 = _four_digit_tables()
     high, middle, low = _four_digit_groups(n[order[:kernel]])
@@ -316,23 +304,20 @@ def _g12(values: np.ndarray) -> np.ndarray:
     full, stripped = full.view(np.uint8), stripped.view(np.uint8)
 
     chars = np.zeros((len(values), _G12_WIDTH), np.uint8)
-    for group in np.flatnonzero(starts[1:33] > starts[:32]):
+    for group in np.flatnonzero(starts[1:17] > starts[:16]):
         rows = slice(starts[group], starts[group + 1])
         line = chars[rows]
-        sign, x = divmod(int(group), 16)
-        x -= 4
-        prefix = b"-" * sign + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
-        at = len(prefix)
-        if at:
-            _cells(line, 0, at)[...] = prefix
+        x = int(group) - 4
         if x < 0:
+            at = 1 - x
+            _cells(line, 0, at)[...] = b"0." + b"0" * (-x - 1)
             _cells(line, at, at + 12)[...] = _cells(stripped[rows], 0, 12)
             continue
-        _cells(line, at, at + x + 1)[...] = _cells(full[rows], 0, x + 1)
+        _cells(line, 0, x + 1)[...] = _cells(full[rows], 0, x + 1)
         if x < 11:
             point = stripped[rows, x + 1] != 0
-            line[:, at + x + 1] = np.where(point, np.uint8(ord(".")), np.uint8(0))
-            _cells(line, at + x + 2, at + 13)[...] = _cells(stripped[rows], x + 1, 12)
+            line[:, x + 1] = np.where(point, np.uint8(ord(".")), np.uint8(0))
+            _cells(line, x + 2, 13)[...] = _cells(stripped[rows], x + 1, 12)
     rest = order[kernel:]
     if rest.size:
         text = [b"%.12g" % v for v in values[rest].tolist()]

@@ -349,6 +349,9 @@ def test_fixed12_on_exact_ties_and_their_neighbours():
     ties = np.arange(1, 8 * 8192, 2) / 8192
     for x in (ties, np.nextafter(ties, 0.0), np.nextafter(ties, 10.0)):
         assert_prints_like_printf(x)
+    # Near-ties: np.rint of the float product v * 1e12 rounds each of these
+    # the wrong way (1.441596127196 for the first).
+    assert_prints_like_printf([1.4415961271965, 9.5046369632585, 3.1183145201045])
 
 
 def test_fixed12_on_uniform_values():
@@ -424,6 +427,9 @@ def test_g12_on_ties_and_carries():
     # A tie at 12 significant digits goes to the even digit (...901.2); the
     # two carries leave fixed notation (1e+12) and enter it (0.0001).
     assert_prints_like_g12([12345678901.25, 999999999999.5, 9.9999999999995e-05])
+    # Near-ties in decades X = 0, 1, 4 and -3: np.rint of the float product
+    # v * 10**(11 - X) rounds each of these the wrong way.
+    assert_prints_like_g12([1.8272434792149999, 79.49573867725, 97603.16832035, 0.002930767536535])
     # For odd m, m / 2**(12 - X) times 10**(11 - X) is m * 5**(11 - X) / 2:
     # an exact tie, in decade X for the m drawn here.
     rng = np.random.default_rng(11)
