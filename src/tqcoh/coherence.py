@@ -49,13 +49,13 @@ def validate_density(matrix) -> DensityMatrix:
     Checks, in order: hermiticity and unit trace (by constructing the
     :class:`DensityMatrix`), then positive semidefiniteness (smallest
     eigenvalue >= -1e-9). The first violated property is reported via
-    :class:`DensityMatrixError`.
+    :class:`DensityMatrixError`. The real symmetric embedding
+    [[Re rho, -Im rho], [Im rho, Re rho]] has rho's eigenvalues, each twice.
     """
     rho = DensityMatrix(matrix)
-    m = rho.matrix
-    # Eigensolve on the exactly Hermitian average (the defect is within
-    # the eigensolver's input tolerance either way).
-    eig = hermitian_eigensystem((m + m.conj().T) / 2.0)
+    # Embed the exactly Hermitian average; its shift is below tolerance.
+    avg = (rho.matrix + rho.matrix.conj().T) / 2.0
+    eig = hermitian_eigensystem(np.block([[avg.real, -avg.imag], [avg.imag, avg.real]]))
     min_eig = float(eig.eigenvalues[0])
     if min_eig < -1e-9:
         raise DensityMatrixError("positivity", f"smallest eigenvalue = {min_eig:.3e}")

@@ -213,8 +213,8 @@ def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
 def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndarray:
     """(exp(-i lambda t / hbar) * coeffs) @ V^T for scalar or array t.
 
-    With ``coeffs`` = V+ psi0 the rows are psi(t); with ``coeffs`` =
-    conj(V) and scalar t the result is U(t)^T. The eigenvalues ascend, so
+    With ``coeffs`` = V^T psi0 the rows are psi(t); with ``coeffs`` = V
+    (real) and scalar t the result is U(t)^T. The eigenvalues ascend, so
     the largest |lambda| of the phase check is at one of the ends.
     """
     values = eig.eigenvalues
@@ -227,12 +227,13 @@ def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndar
 def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     """U(t) synthesised from the numeric spectral decomposition.
 
-    This route shares no code with :func:`analytic_propagator` beyond the
+    U = V diag(exp(-i lambda t / hbar)) V^T for the real symmetric H. This
+    route shares no code with :func:`analytic_propagator` beyond the
     Hamiltonian parameters, so agreement between the two is a genuine
     cross-validation of the closed forms.
     """
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-    matrix = spectral_rows(eig, params, float(t), eig.eigenvectors.conj()).T
+    matrix = spectral_rows(eig, params, float(t), eig.eigenvectors).T
     return UnitaryMatrix(matrix)
 
 

@@ -1,10 +1,9 @@
-"""Dense complex linear algebra kernel for small matrices.
+"""Dense linear algebra kernel for small matrices.
 
-Everything operates on plain ``complex128`` numpy arrays. The only
-non-trivial routine is :func:`hermitian_eigensystem`, a cyclic Jacobi
-diagonalisation written out by hand so the spectral pipeline does not
-depend on a black-box eigensolver. All functions are pure and never
-mutate their arguments.
+The only non-trivial routine is :func:`hermitian_eigensystem`, a cyclic
+Jacobi diagonalisation of a real symmetric matrix written out by hand so
+the spectral pipeline does not depend on a black-box eigensolver. All
+functions are pure and never mutate their arguments.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ HERMITICITY_TOL = 1e-12
 _OFF_FACTOR = 1e-14
 _MAX_SWEEPS = 100
 # Off-diagonal entries below the smallest normal float are set to zero:
-# apq / |apq| would divide by a subnormal and return NaN. The rotations run
-# on a copy scaled to ||A||_F in [0.5, 1), so only entries negligible
-# against ||H|| fall below it.
+# where a_pp = a_qq, even a subnormal one would rotate by 45 degrees. The
+# rotations run on a copy scaled to ||A||_F in [0.5, 1), so only entries
+# negligible against ||H|| fall below it.
 _TINY = np.finfo(float).tiny
 # The eigen residual bound is max(1e-10, _RESIDUAL_FACTOR * ||H||_F).
 _RESIDUAL_FACTOR = 64.0 * np.finfo(float).eps
@@ -53,7 +52,7 @@ def as_complex_matrix(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Real eigenvalues in ascending order with matching eigenvectors.
+    """Real eigenvalues in ascending order with matching real eigenvectors.
 
     ``eigenvectors[:, j]`` is the unit-norm eigenvector belonging to
     ``eigenvalues[j]``. For degenerate eigenvalues any orthonormal basis of
@@ -70,23 +69,24 @@ class EigenSystem:
 
 
 def hermitian_eigensystem(h) -> EigenSystem:
-    """Diagonalise a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalise a real symmetric matrix by cyclic Jacobi rotations.
 
-    The input must be Hermitian to within ``HERMITICITY_TOL`` (max entry
-    deviation from its adjoint). Ties in the ascending eigenvalue sort are
-    broken by original position, so the output is deterministic.
+    Every imaginary part of the input must be zero, and it must be
+    symmetric to within ``HERMITICITY_TOL`` (max entry deviation from its
+    transpose). Ties in the ascending eigenvalue sort are broken by
+    original position, so the output is deterministic.
 
-    The rotations run on Python complex scalars in nested lists: for the
-    4x4 matrices of this package that is several times faster than numpy
+    The rotations run on Python floats in nested lists: for the 4x4
+    matrices of this package that is several times faster than numpy
     slices, whose per-call overhead dwarfs the arithmetic.
 
     The result is certified before it is returned: the eigen residual
     max |H V - V diag(lambda)| must be at most max(1e-10, 64 eps ||H||_F)
     (Jacobi is accurate relative to ||H||, so the bound scales with it) and
-    the orthonormality defect max |V+ V - I| at most 1e-10.
+    the orthonormality defect max |V^T V - I| at most 1e-10.
 
     Raises:
-        ValueError: if the input is not Hermitian within tolerance.
+        ValueError: if the input is not real, or not symmetric within tolerance.
         EigenConvergenceError: if the rotation sweeps fail to reach the
             off-diagonal target, or the result fails its residual /
             orthonormality certificate. The message carries the sweep
@@ -94,28 +94,30 @@ def hermitian_eigensystem(h) -> EigenSystem:
             function never silently returns an unconverged answer.
     """
     h = as_complex_matrix(h)
+    if h.imag.any():
+        raise ValueError("expected a real symmetric matrix")
+    h = h.real
     dim = h.shape[0]
-    h_adj = h.conj().T
-    if np.abs(h - h_adj).max() > HERMITICITY_TOL:
+    if np.abs(h - h.T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
 
-    # Work on the exactly-Hermitian average; the shift is below tolerance.
-    avg = (h + h_adj) / 2.0
-    frob = math.hypot(*[abs(x) for x in avg.ravel().tolist()])
+    # Work on the exactly symmetric average; the shift is below tolerance.
+    avg = (h + h.T) / 2.0
+    frob = math.hypot(*avg.ravel().tolist())
     # Rotate A = 2^-e avg, whose norm is the mantissa in [0.5, 1). Scaling
     # by a power of two is exact, and ldexp does not overflow where the
     # factor 2^-e itself would (||H||_F near 1e-310).
     mantissa, exponent = math.frexp(frob)
-    a = np.ldexp(avg.view(float), -exponent).view(complex).tolist()
-    v = np.eye(dim, dtype=complex).tolist()
+    a = np.ldexp(avg, -exponent).tolist()
+    v = np.eye(dim).tolist()
     target = _OFF_FACTOR * mantissa
 
     sweeps = 0
     while True:
         # Frobenius norm of the off-diagonal part, from the upper triangle
-        # since A stays exactly Hermitian; hypot does not overflow.
+        # since A stays exactly symmetric; hypot does not overflow.
         off = _SQRT2 * math.hypot(
-            *[abs(a[i][j]) for i in range(dim - 1) for j in range(i + 1, dim)]
+            *[a[i][j] for i in range(dim - 1) for j in range(i + 1, dim)]
         )
         if not off > target or sweeps == _MAX_SWEEPS:
             break
@@ -124,50 +126,43 @@ def hermitian_eigensystem(h) -> EigenSystem:
             for q in range(p + 1, dim):
                 row_q = a[q]
                 apq = row_p[q]
-                mag = abs(apq)
-                if mag < _TINY:
-                    row_p[q] = row_q[p] = 0j
+                if abs(apq) < _TINY:
+                    row_p[q] = row_q[p] = 0.0
                     continue
-                phase = apq / mag
-                app = row_p[p].real
-                aqq = row_q[q].real
-                theta = 0.5 * math.atan2(2.0 * mag, app - aqq)
+                app = row_p[p]
+                aqq = row_q[q]
+                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
                 c = math.cos(theta)
-                s = math.sin(theta)
-                s_phase = s * phase
-                s_conj = s * phase.conjugate()
+                s = math.copysign(math.sin(theta), apq)
 
-                # A <- U+ A U and V <- V U with the rotation acting in the
-                # (p, q) plane: U[p,p]=c, U[p,q]=-s*phase,
-                # U[q,p]=s*conj(phase), U[q,q]=c. Outside the (p, q) block,
-                # rows p and q of A are the conjugates of its columns p and
-                # q (the products conjugate exactly, so A stays Hermitian).
+                # A <- U^T A U and V <- V U with the rotation acting in the
+                # (p, q) plane: U[p,p]=c, U[p,q]=-s, U[q,p]=s, U[q,q]=c.
+                # Outside the (p, q) block, rows p and q of A mirror its
+                # columns p and q, so A stays exactly symmetric.
                 for k in range(dim):
                     if k != p and k != q:
                         row = a[k]
                         x, y = row[p], row[q]
-                        row[p] = new_p = c * x + s_conj * y
-                        row[q] = new_q = c * y - s_phase * x
-                        row_p[k] = new_p.conjugate()
-                        row_q[k] = new_q.conjugate()
+                        row[p] = row_p[k] = c * x + s * y
+                        row[q] = row_q[k] = c * y - s * x
                 for row in v:
                     x, y = row[p], row[q]
-                    row[p] = c * x + s_conj * y
-                    row[q] = c * y - s_phase * x
+                    row[p] = c * x + s * y
+                    row[q] = c * y - s * x
                 # Exact values for the rotated 2x2 block.
-                row_p[p] = c * c * app + 2.0 * s * c * mag + s * s * aqq
-                row_q[q] = s * s * app - 2.0 * s * c * mag + c * c * aqq
-                row_p[q] = row_q[p] = 0j
+                row_p[p] = c * c * app + 2.0 * s * c * apq + s * s * aqq
+                row_q[q] = s * s * app - 2.0 * s * c * apq + c * c * aqq
+                row_p[q] = row_q[p] = 0.0
         sweeps += 1
 
-    diagonal = [a[i][i].real for i in range(dim)]
+    diagonal = [a[i][i] for i in range(dim)]
     order = sorted(range(dim), key=diagonal.__getitem__)  # stable
     values = np.ldexp([diagonal[i] for i in order], exponent)
     vectors = np.array(v)[:, order]
 
     # Certify before returning: eigen residual and pairwise orthonormality.
     residual = float(np.abs(h @ vectors - vectors * values).max())
-    defect = float(np.abs(vectors.conj().T @ vectors - np.eye(dim)).max())
+    defect = float(np.abs(vectors.T @ vectors - np.eye(dim)).max())
     bound = max(1e-10, _RESIDUAL_FACTOR * frob)
     # Written so that a NaN residual or defect, or an overflowing norm,
     # fails the certificate.

@@ -70,11 +70,13 @@ class CircuitParams:
             raise InputError(f"hbar must be positive, got {self.hbar!r}")
         # Every route scales the energies by these; Python floats overflow
         # to inf without a warning, so this runs before any numpy does.
-        # hbar e_m comes first: it is a factor of hbar^2 e_m / 4.
+        # hbar e_m, a factor of the coupling, comes first. ||H||_F (the
+        # eigensolve's) bounds 2 |coupling| and 2 |tunnel|: H + H^T is finite.
+        coupling = 0.25 * self.hbar * (self.hbar * self.e_m)
+        tunnel = 0.5 * self.hbar * self.e_j
         scales = {
             "hbar e_m": self.hbar * self.e_m,
-            "hbar^2 e_m / 4": 0.25 * self.hbar * (self.hbar * self.e_m),
-            "hbar e_j / 2": 0.5 * self.hbar * self.e_j,
+            "||H||_F": math.hypot(*4 * [coupling], *8 * [tunnel]),
             "1 / hbar": 1.0 / self.hbar,
             "hypot(4 e_j, hbar e_m)": math.hypot(4.0 * self.e_j, self.hbar * self.e_m),
         }
@@ -87,7 +89,7 @@ class CircuitParams:
 
 
 def build_hamiltonian_tensor(params: CircuitParams) -> np.ndarray:
-    """The 4x4 Hamiltonian as a read-only complex array, from Pauli tensor products.
+    """The 4x4 Hamiltonian as a read-only float64 array, from Pauli tensor products.
 
     H = (hbar^2 e_m / 4) sz(x)sz - (hbar e_j / 2) sx(x)I - (hbar e_j / 2) I(x)sx
 
@@ -97,7 +99,7 @@ def build_hamiltonian_tensor(params: CircuitParams) -> np.ndarray:
     """
     coupling = 0.25 * params.hbar * (params.hbar * params.e_m)
     tunnel = -0.5 * params.hbar * params.e_j
-    h = (coupling * _ZZ + tunnel * _XI + tunnel * _IX).astype(complex)
+    h = coupling * _ZZ + tunnel * _XI + tunnel * _IX
     h.setflags(write=False)
     return h
 

@@ -148,7 +148,7 @@ def time_series(
 
     The ``closed_form`` column evaluates the analytic expression. The
     ``numeric`` column applies the spectral propagator to the Bell state,
-    psi(t) = V (exp(-i lambda t / hbar) * V+ psi0), from one Jacobi
+    psi(t) = V (exp(-i lambda t / hbar) * V^T psi0), from one Jacobi
     eigendecomposition of the Hamiltonian (:func:`spectral_rows`), and
     sums |psi_i psi_j*| over i != j (:func:`off_diagonal_l1`). It is
     computed in blocks of ``_BLOCK_ROWS`` rows, so beyond the returned
@@ -160,7 +160,7 @@ def time_series(
     times = grid.times()
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
-    coeffs = eig.eigenvectors.conj().T @ bell_state(label).amplitudes
+    coeffs = eig.eigenvectors.T @ bell_state(label).amplitudes
     numeric = np.empty_like(times)
     for lo in range(0, len(times), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)

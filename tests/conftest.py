@@ -40,20 +40,22 @@ def times() -> st.SearchStrategy[float]:
     return st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 
-def unit_disc_complex() -> st.SearchStrategy[complex]:
-    """Complex scalars comfortably inside the unit disc."""
+def _entries(count: int) -> st.SearchStrategy[np.ndarray]:
+    """``count`` floats in [-0.7, 0.7], as an array."""
     part = st.floats(min_value=-0.7, max_value=0.7, allow_nan=False)
-    return st.builds(complex, part, part)
+    return st.lists(part, min_size=count, max_size=count).map(np.array)
 
 
-def complex_matrix_4() -> st.SearchStrategy[np.ndarray]:
-    return st.lists(unit_disc_complex(), min_size=16, max_size=16).map(
-        lambda xs: np.array(xs, dtype=complex).reshape(4, 4)
-    )
+def symmetric_matrix_4() -> st.SearchStrategy[np.ndarray]:
+    """Real symmetric 4x4 matrices with entries in [-0.7, 0.7]."""
+    return _entries(16).map(lambda xs: xs.reshape(4, 4)).map(lambda m: (m + m.T) / 2.0)
 
 
 def hermitian_matrix_4() -> st.SearchStrategy[np.ndarray]:
-    return complex_matrix_4().map(lambda m: (m + m.conj().T) / 2.0)
+    """Complex Hermitian 4x4 matrices with real and imaginary parts in [-0.7, 0.7]."""
+    return _entries(32).map(lambda xs: xs.view(complex).reshape(4, 4)).map(
+        lambda m: (m + m.conj().T) / 2.0
+    )
 
 
 def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import CANONICAL_PARAMS, circuit_params, frequency_scales, random_density, times
+from conftest import (
+    CANONICAL_PARAMS,
+    circuit_params,
+    frequency_scales,
+    hermitian_matrix_4,
+    random_density,
+    times,
+)
 from tqcoh.coherence import (
     DensityMatrixError,
     closed_form_coherence,
@@ -51,6 +59,32 @@ def test_validate_density_names_first_violation():
 def test_validate_density_other_dimensions():
     assert validate_density(np.eye(2, dtype=complex) / 2.0).dim == 2
     assert validate_density(np.eye(3, dtype=complex) / 3.0).dim == 3
+
+
+def test_validate_density_sees_imaginary_parts():
+    # Eigenvalues -0.1 and 1.1; the real part alone is 0.5 I, which is
+    # positive, so a check that dropped Im rho would accept this matrix.
+    with pytest.raises(DensityMatrixError, match="positivity"):
+        validate_density(np.array([[0.5, 0.6j], [-0.6j, 0.5]]))
+
+
+@given(hermitian_matrix_4(), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=150)
+def test_validate_density_matches_lapack_positivity(h, scale):
+    # I/4 plus a scaled traceless Hermitian part: unit trace, and positive
+    # for small scales but not for large ones. numpy's eigvalsh on the
+    # complex matrix itself is an independent verdict.
+    rho = np.eye(4) / 4.0 + scale * (h - np.trace(h).real / 4.0 * np.eye(4))
+    smallest = np.linalg.eigvalsh(rho)[0]
+    # The two solvers round differently, so skip a hair's breadth of -1e-9.
+    assume(abs(smallest + 1e-9) > 1e-12)
+    try:
+        validate_density(rho)
+        accepted = True
+    except DensityMatrixError as err:
+        assert err.violation == "positivity"
+        accepted = False
+    assert accepted == (smallest >= -1e-9)
 
 
 # ---------------------------------------------------------------- l1 norm

@@ -64,6 +64,10 @@ def argvs(draw) -> list[str]:
           "--t-max=6.186892202255073e+188"])
 # hbar^2 e_m / 4 overflowed inside the Hamiltonian build.
 @example(["series", "--state", "phi+", "--hbar", "1e200", "--steps", "3"])
+# Every entry of H was finite, but the eigensolve's H + H^T overflowed
+# (numpy RuntimeWarnings, then exit 2).
+@example(["series", "--state", "phi+", "--hbar", "3", "--em", "5e307", "--ej", "0",
+          "--steps", "3"])
 # hbar^2 overflows, hbar (hbar e_m) / 4 does not: both exit 0.
 @example(["optimize", "--state", "phi+", "--hbar", "3e154", "--ej", "1", "--em", "0"])
 @example(["optimize", "--state", "phi+", "--hbar", "1e200", "--em", "1e-200"])

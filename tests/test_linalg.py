@@ -3,15 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 
 import tqcoh.linalg as linalg_module
-from conftest import bell_block_spectrum, circuit_params, hermitian_matrix_4
+from conftest import bell_block_spectrum, circuit_params, symmetric_matrix_4
 from tqcoh.linalg import EigenConvergenceError, hermitian_eigensystem
 from tqcoh.model import CircuitParams, build_hamiltonian_tensor
 
 
 def _subnormal_coupling() -> np.ndarray:
-    """A Hermitian matrix whose only (0, 1) coupling is subnormal."""
-    h = np.diag([0.5, -0.25, 0.125, 0.0]).astype(complex)
-    h[0, 1], h[1, 0] = 2.2e-311j, -2.2e-311j
+    """A symmetric matrix whose only (0, 1) coupling is subnormal."""
+    h = np.diag([0.5, -0.25, 0.125, 0.0])
+    h[0, 1] = h[1, 0] = 2.2e-311
     h[2, 3] = h[3, 2] = 0.3
     return h
 
@@ -41,7 +41,7 @@ def test_eigensystem_large_energies(energy):
     scale = np.finfo(float).eps * np.linalg.norm(h)
     assert np.max(np.abs(values - bell_block_spectrum(p))) <= 64 * scale
     assert np.max(np.abs(h @ vectors - vectors * values)) <= 64 * scale
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) <= 1e-10
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) <= 1e-10
 
 
 def test_eigensystem_tiny_energies():
@@ -68,8 +68,22 @@ def test_eigensystem_subnormal_hamiltonian(params):
 def test_eigensystem_zero_matrix():
     eig = hermitian_eigensystem(np.zeros((4, 4), dtype=complex))
     assert np.array_equal(eig.eigenvalues, np.zeros(4))
-    gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+    gram = eig.eigenvectors.T @ eig.eigenvectors
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
+
+
+def test_eigensystem_returns_real_arrays():
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(CircuitParams(e_j=0.5, e_m=1.5)))
+    assert eig.eigenvalues.dtype == np.float64
+    assert eig.eigenvectors.dtype == np.float64
+
+
+def test_eigensystem_rejects_complex_input():
+    # Hermitian, but not real: the solver takes real symmetric matrices only.
+    m = np.diag([0.5, 0.5, -0.5, -0.5]).astype(complex)
+    m[0, 1], m[1, 0] = 0.25j, -0.25j
+    with pytest.raises(ValueError, match="expected a real symmetric matrix"):
+        hermitian_eigensystem(m)
 
 
 def test_eigensystem_rejects_non_hermitian():
@@ -84,15 +98,15 @@ def test_eigensystem_rejects_non_hermitian():
 
 
 def test_eigensystem_subnormal_coupling_is_finite():
-    # apq / |apq| with a subnormal apq is NaN, and a NaN residual must not
-    # pass the certificate.
+    # The subnormal coupling is zeroed, not rotated; the spectrum must stay
+    # finite and agree with LAPACK's.
     h = _subnormal_coupling()
     eig = hermitian_eigensystem(h)
     assert np.all(np.isfinite(eig.eigenvalues))
     assert np.max(np.abs(eig.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12
 
 
-@given(hermitian_matrix_4())
+@given(symmetric_matrix_4())
 @example(_subnormal_coupling())
 @settings(max_examples=150)
 def test_eigensystem_invariants(h):
@@ -102,16 +116,16 @@ def test_eigensystem_invariants(h):
     # Residual per pair and pairwise orthonormality.
     residual = np.max(np.abs(h @ vectors - vectors * values[np.newaxis, :]))
     assert residual <= 1e-10
-    gram = vectors.conj().T @ vectors
+    gram = vectors.T @ vectors
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
     # Reconstruction from projectors.
-    recon = (vectors * values[np.newaxis, :]) @ vectors.conj().T
+    recon = (vectors * values[np.newaxis, :]) @ vectors.T
     assert np.linalg.norm(recon - h) <= 1e-10
     # Eigenvalue sum equals the trace.
-    assert abs(values.sum() - np.trace(h).real) <= 1e-10
+    assert abs(values.sum() - np.trace(h)) <= 1e-10
 
 
-@given(hermitian_matrix_4())
+@given(symmetric_matrix_4())
 @settings(max_examples=60)
 def test_eigensystem_matches_lapack(h):
     # numpy's eigvalsh is a second, independent implementation.
