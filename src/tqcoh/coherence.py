@@ -53,8 +53,9 @@ def validate_density(matrix) -> DensityMatrix:
     [[Re rho, -Im rho], [Im rho, Re rho]] has rho's eigenvalues, each twice.
     """
     rho = DensityMatrix(matrix)
-    # Embed the exactly Hermitian average; its shift is below tolerance.
-    avg = (rho.matrix + rho.matrix.conj().T) / 2.0
+    # Embed the exactly Hermitian average (shift below tolerance); an overflow fails as not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = (rho.matrix + rho.matrix.conj().T) / 2.0
     eig = hermitian_eigensystem(np.block([[avg.real, -avg.imag], [avg.imag, avg.real]]))
     min_eig = float(eig.eigenvalues[0])
     if min_eig < -1e-9:
@@ -90,19 +91,18 @@ def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
     states the phase t root is checked first, so a t at which it
     overflows raises ``ValueError`` instead of giving NaN.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
+    scalar = not (isinstance(t, np.ndarray) and t.ndim > 0)
+    t = float(t) if scalar else np.asarray(t, dtype=float)
     if label.stationary:
-        out = np.ones_like(t_arr)
-        return float(out) if scalar else out
+        return 1.0 if scalar else np.ones_like(t)
 
     # The expression divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2.
     root, jr, mr = scaled_energies(params)
-    check_phase(params, t_arr, root)
+    check_phase(params, t, root)
     radicand = (
         jr**2
-        * np.sin(0.25 * t_arr * root) ** 2
-        * (8.0 * jr**2 * (np.cos(0.5 * t_arr * root) + 1.0) + mr**2)
+        * np.sin(0.25 * t * root) ** 2
+        * (8.0 * jr**2 * (np.cos(0.5 * t * root) + 1.0) + mr**2)
     )
     out = 1.0 + 16.0 * np.sqrt(radicand)
     return float(out) if scalar else out

@@ -52,7 +52,6 @@ __all__ = [
     "spectral_rows",
 ]
 
-_SQRT_HALF = math.sqrt(0.5)
 _EYE4 = np.eye(4)
 
 
@@ -92,10 +91,10 @@ class StateVector:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {amp.shape}")
-        if not np.isfinite(amp).all():
-            raise ValueError("amplitudes must be finite")
-        norm = math.sqrt((np.abs(amp) ** 2).sum())
-        if abs(norm - 1.0) > 1e-10:
+        norm = math.sqrt(np.vdot(amp, amp).real)  # vdot sets no numpy error flags
+        if not abs(norm - 1.0) <= 1e-10:
+            if not np.isfinite(amp).all():
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"state is not normalised: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", amp)
         amp.setflags(write=False)
@@ -108,13 +107,15 @@ class UnitaryMatrix:
     matrix: np.ndarray
     defect: float = field(init=False)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite defect fails
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        defect = float(np.abs(m.conj().T @ m - _EYE4).max())
-        # This bound also pins ||det U| - 1| below 8e-10 on a 4x4.
-        if defect > 1e-10:
+        m = np.asarray(self.matrix, dtype=complex)
+        defect = float(np.abs(m.conj().T @ m - _EYE4).max()) if m.shape == (4, 4) else math.inf
+        # This bound also pins ||det U| - 1| below 8e-10 on a 4x4. NaN fails it.
+        if not defect <= 1e-10:
+            as_complex_matrix(m)  # a non-square or non-finite m fails here
+            if m.shape != (4, 4):
+                raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
             raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "defect", defect)
@@ -135,14 +136,17 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite defect fails
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        herm_defect = np.abs(m - m.conj().T).max()
-        if herm_defect > 1e-10:
+        m = np.asarray(self.matrix, dtype=complex)
+        square = m.ndim == 2 and m.shape[0] == m.shape[1]
+        herm_defect = np.abs(m - m.conj().T).max() if square else math.inf
+        if not herm_defect <= 1e-10:
+            as_complex_matrix(m)  # a non-square or non-finite m fails here
             raise DensityMatrixError(
                 "hermiticity", f"not Hermitian: max |rho - rho+| = {herm_defect:.3e}"
             )
-        trace_defect = abs(m.trace() - 1.0)
+        trace_defect = abs(sum(m.diagonal().tolist()) - 1.0)  # a Python sum never warns
         if trace_defect > 1e-10:
             raise DensityMatrixError("trace", f"|tr(rho) - 1| = {trace_defect:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -161,11 +165,15 @@ _BELL_SIGNS = {
     BellLabel.PHI_MINUS: np.array([1, 0, 0, -1]),
     BellLabel.PSI_MINUS: np.array([0, 1, -1, 0]),
 }
+# Built once; each certificate copies them into a complex array of its own.
+_BELL_AMPLITUDES = {label: math.sqrt(0.5) * s for label, s in _BELL_SIGNS.items()}
+_STATIONARY_RHO = {label: 0.5 * (s[:, np.newaxis] * s)
+                   for label, s in _BELL_SIGNS.items() if label.stationary}
 
 
 def bell_state(label: BellLabel) -> StateVector:
     """The normalised Bell state for a label."""
-    return StateVector(_SQRT_HALF * _BELL_SIGNS[label])
+    return StateVector(_BELL_AMPLITUDES[label])
 
 
 def _propagator_elements(params: CircuitParams, t):
@@ -179,7 +187,6 @@ def _propagator_elements(params: CircuitParams, t):
     """
     root, jr, mr = scaled_energies(params)
     check_phase(params, t, root)
-    t = np.asarray(t, dtype=float)
     sf = np.sin(0.25 * t * root)
     cf = np.cos(0.25 * t * root)
     ss = np.sin(0.25 * t * (params.hbar * params.e_m))
@@ -201,7 +208,7 @@ def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
         [u12, u23, u22, u12],
         [u14, u12, u12, u11],
     ]
-    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    return np.array(rows) if np.ndim(u11) == 0 else np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
@@ -219,8 +226,8 @@ def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndar
     """
     values = eig.eigenvalues
     check_phase(params, t, max(-float(values[0]), float(values[-1])), params.hbar)
-    t = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * t[..., np.newaxis] * values / params.hbar)
+    t = t[..., np.newaxis] if isinstance(t, np.ndarray) else t
+    phases = np.exp(-1j * t * values / params.hbar)
     return (phases * coeffs) @ eig.eigenvectors.T
 
 
@@ -253,7 +260,7 @@ def density_matrix(state: StateVector) -> DensityMatrix:
     DensityMatrix certificate already bounds tr rho.
     """
     amp = state.amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()))
+    return DensityMatrix(amp[:, np.newaxis] * amp.conj())
 
 
 def closed_form_density(
@@ -269,8 +276,7 @@ def closed_form_density(
     root, jr, mr = scaled_energies(params)
     check_phase(params, t, root)
     if label.stationary:
-        signs = _BELL_SIGNS[label]
-        return DensityMatrix(0.5 * (signs[:, np.newaxis] * signs))
+        return DensityMatrix(_STATIONARY_RHO[label])
 
     sf = math.sin(0.25 * t * root)
     cf = math.cos(0.25 * t * root)
@@ -284,7 +290,7 @@ def closed_form_density(
         outer, middle, edge = corner, inner, -cross - 1j * wave
     else:  # PSI_PLUS
         outer, middle, edge = inner, corner, +cross + 1j * wave
-    conj_edge = np.conj(edge)  # edge is rho_12 = rho_13 = rho_42 = rho_43
+    conj_edge = edge.conjugate()  # edge is rho_12 = rho_13 = rho_42 = rho_43
     rho = np.array(
         [
             [outer, edge, edge, outer],

@@ -8,6 +8,7 @@ functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,6 +69,13 @@ class EigenSystem:
         self.eigenvectors.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=8)
+def _sweep_pairs(dim: int) -> tuple:
+    """The upper-triangle pairs (p, q) in sweep order, with the other indices k."""
+    return tuple((p, q, tuple(k for k in range(dim) if k != p and k != q))
+                 for p in range(dim - 1) for q in range(p + 1, dim))
+
+
 def hermitian_eigensystem(h) -> EigenSystem:
     """Diagonalise a real symmetric matrix by cyclic Jacobi rotations.
 
@@ -93,22 +101,28 @@ def hermitian_eigensystem(h) -> EigenSystem:
             count, final off-norm, ||H||_F, residual and defect. The
             function never silently returns an unconverged answer.
     """
-    h = as_complex_matrix(h)
-    if h.imag.any():
+    h = np.asarray(h)
+    if h.ndim != 2 or len(h) != h.shape[1] or not np.isfinite(h).all():
+        as_complex_matrix(h)  # raises, naming a non-square or non-finite h
+    if np.iscomplexobj(h) and h.imag.any():
         raise ValueError("expected a real symmetric matrix")
-    h = h.real
-    dim = h.shape[0]
-    if np.abs(h - h.T).max() > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-12")
-
-    # Work on the exactly symmetric average; the shift is below tolerance.
-    avg = (h + h.T) / 2.0
-    frob = math.hypot(*avg.ravel().tolist())
+    h = np.asarray(h.real, dtype=float)
+    dim = len(h)
+    pairs = _sweep_pairs(dim)
+    # Work on the exactly symmetric average (H on the diagonal); its shift is below
+    # tolerance. Python floats overflow silently; above 1, x / 2 + y / 2 is (x + y) / 2, finite.
+    avg = h.tolist()
+    for p, q, _ in pairs:
+        x, y = avg[p][q], avg[q][p]
+        if abs(x - y) > HERMITICITY_TOL:
+            raise ValueError("matrix is not Hermitian within 1e-12")
+        avg[p][q] = avg[q][p] = (x + y) / 2.0 if abs(x) <= 1.0 else x / 2.0 + y / 2.0
+    frob = math.hypot(*[x for row in avg for x in row])
     # Rotate A = 2^-e avg, whose norm is the mantissa in [0.5, 1). Scaling
     # by a power of two is exact, and ldexp does not overflow where the
     # factor 2^-e itself would (||H||_F near 1e-310).
     mantissa, exponent = math.frexp(frob)
-    a = np.ldexp(avg, -exponent).tolist()
+    a = [[math.ldexp(x, -exponent) for x in row] for row in avg]
     v = np.eye(dim).tolist()
     target = _OFF_FACTOR * mantissa
 
@@ -116,49 +130,45 @@ def hermitian_eigensystem(h) -> EigenSystem:
     while True:
         # Frobenius norm of the off-diagonal part, from the upper triangle
         # since A stays exactly symmetric; hypot does not overflow.
-        off = _SQRT2 * math.hypot(
-            *[a[i][j] for i in range(dim - 1) for j in range(i + 1, dim)]
-        )
+        off = _SQRT2 * math.hypot(*[a[p][q] for p, q, _ in pairs])
         if not off > target or sweeps == _MAX_SWEEPS:
             break
-        for p in range(dim - 1):
+        for p, q, others in pairs:
             row_p = a[p]
-            for q in range(p + 1, dim):
-                row_q = a[q]
-                apq = row_p[q]
-                if abs(apq) < _TINY:
-                    row_p[q] = row_q[p] = 0.0
-                    continue
-                app = row_p[p]
-                aqq = row_q[q]
-                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
-                c = math.cos(theta)
-                s = math.copysign(math.sin(theta), apq)
-
-                # A <- U^T A U and V <- V U with the rotation acting in the
-                # (p, q) plane: U[p,p]=c, U[p,q]=-s, U[q,p]=s, U[q,q]=c.
-                # Outside the (p, q) block, rows p and q of A mirror its
-                # columns p and q, so A stays exactly symmetric.
-                for k in range(dim):
-                    if k != p and k != q:
-                        row = a[k]
-                        x, y = row[p], row[q]
-                        row[p] = row_p[k] = c * x + s * y
-                        row[q] = row_q[k] = c * y - s * x
-                for row in v:
-                    x, y = row[p], row[q]
-                    row[p] = c * x + s * y
-                    row[q] = c * y - s * x
-                # Exact values for the rotated 2x2 block.
-                row_p[p] = c * c * app + 2.0 * s * c * apq + s * s * aqq
-                row_q[q] = s * s * app - 2.0 * s * c * apq + c * c * aqq
+            row_q = a[q]
+            apq = row_p[q]
+            if abs(apq) < _TINY:
                 row_p[q] = row_q[p] = 0.0
+                continue
+            app = row_p[p]
+            aqq = row_q[q]
+            theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
+            c = math.cos(theta)
+            s = math.copysign(math.sin(theta), apq)
+
+            # A <- U^T A U and V <- V U with the rotation acting in the
+            # (p, q) plane: U[p,p]=c, U[p,q]=-s, U[q,p]=s, U[q,q]=c.
+            # Outside the (p, q) block, rows p and q of A mirror its
+            # columns p and q, so A stays exactly symmetric.
+            for k in others:
+                row = a[k]
+                x, y = row[p], row[q]
+                row[p] = row_p[k] = c * x + s * y
+                row[q] = row_q[k] = c * y - s * x
+            for row in v:
+                x, y = row[p], row[q]
+                row[p] = c * x + s * y
+                row[q] = c * y - s * x
+            # Exact values for the rotated 2x2 block.
+            row_p[p] = c * c * app + 2.0 * s * c * apq + s * s * aqq
+            row_q[q] = s * s * app - 2.0 * s * c * apq + c * c * aqq
+            row_p[q] = row_q[p] = 0.0
         sweeps += 1
 
     diagonal = [a[i][i] for i in range(dim)]
     order = sorted(range(dim), key=diagonal.__getitem__)  # stable
     values = np.ldexp([diagonal[i] for i in order], exponent)
-    vectors = np.array(v)[:, order]
+    vectors = np.array([[row[i] for row in v] for i in order]).T
 
     # Certify before returning: eigen residual and pairwise orthonormality.
     residual = float(np.abs(h @ vectors - vectors * values).max())

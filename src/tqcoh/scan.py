@@ -308,9 +308,8 @@ def _draw_parameters(rng: np.random.Generator) -> tuple[CircuitParams, float]:
 
     The draw order is part of the report contract; do not reorder.
     """
-    e_j = rng.uniform(-5.0, 5.0)
-    e_m = rng.uniform(-5.0, 5.0)
-    hbar = float(rng.choice([0.5, 1.0, 2.0]))
+    e_j, e_m = rng.uniform(-5.0, 5.0, 2)
+    hbar = (0.5, 1.0, 2.0)[rng.integers(3)]
     t = rng.uniform(0.0, 50.0)
     return CircuitParams(e_j=e_j, e_m=e_m, hbar=hbar), t
 

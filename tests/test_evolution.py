@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import CANONICAL_PARAMS, circuit_params, eigenstate_check, times
+from tqcoh.coherence import closed_form_coherence, validate_density
 from tqcoh.evolution import (
     BellLabel,
     DensityMatrix,
+    DensityMatrixError,
     StateVector,
     UnitaryMatrix,
+    _propagator_elements,
     analytic_propagator,
     bell_state,
     closed_form_density,
     density_matrix,
     evolve,
     numeric_propagator,
+    spectral_rows,
 )
+from tqcoh.linalg import hermitian_eigensystem
 from tqcoh.model import CircuitParams, build_hamiltonian_tensor
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -130,6 +135,118 @@ def test_unitary_matrix_rejects_non_unitary():
 def test_propagator_rejects_non_finite_time():
     with pytest.raises(ValueError, match="finite"):
         analytic_propagator(CANONICAL_PARAMS, float("inf"))
+
+
+def _in_box_and_extreme_points():
+    """(params, t): seeded draws from the validated box, then extreme energies."""
+    rng = np.random.default_rng(17)
+    points = [
+        (CircuitParams(*rng.uniform(-5.0, 5.0, 2), (0.5, 1.0, 2.0)[rng.integers(3)]),
+         rng.uniform(0.0, 50.0))
+        for _ in range(200)
+    ]
+    for e_j, e_m, hbar in [
+        (1e150, -1e150, 1.0), (-3e-309, 1e-308, 2.0), (1e-300, 0.0, 0.5),
+        (0.0, 1e300, 0.5), (0.0, 0.0, 1.0), (2.5e305, 1.0, 1.0),
+    ]:
+        params = CircuitParams(e_j, e_m, hbar)
+        points += [(params, t) for t in (0.0, 1e-200, 3.7, 1e-150)]
+    return points
+
+
+def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
+    # A scalar t runs the same kernel as an array of one time.
+    for params, t in _in_box_and_extreme_points():
+        t_array = np.array([t])
+        for scalar, batched in zip(
+            _propagator_elements(params, t), _propagator_elements(params, t_array)
+        ):
+            assert np.asarray(scalar).tobytes() == batched.tobytes(), (params, t)
+
+        eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
+        coeffs = eig.eigenvectors.T @ bell_state(BellLabel.PHI_PLUS).amplitudes
+        rows = spectral_rows(eig, params, t_array, coeffs)
+        assert spectral_rows(eig, params, t, coeffs).tobytes() == rows[0].tobytes()
+        u_t = spectral_rows(eig, params, t, eig.eigenvectors)
+        assert u_t.tobytes() == spectral_rows(eig, params, t_array, eig.eigenvectors).tobytes()
+
+        for label in BellLabel:
+            value = closed_form_coherence(label, params, t)
+            assert type(value) is float
+            batched = closed_form_coherence(label, params, t_array)
+            assert np.array([value]).tobytes() == batched.tobytes(), (params, t, label)
+
+
+# ----------------------------------------------------------- certificates
+
+_NAN, _INF = float("nan"), float("inf")
+_NOT_FINITE = "matrix entries must be finite"
+
+
+@pytest.mark.parametrize(
+    "build, value, error, violation, message",
+    [
+        (StateVector, [1, 0, 0], ValueError, None, "expected 4 amplitudes"),
+        (StateVector, np.eye(4), ValueError, None, "expected 4 amplitudes"),
+        (StateVector, [_NAN, 0, 0, 0], ValueError, None, "amplitudes must be finite"),
+        (StateVector, [_INF, 0, 0, 0], ValueError, None, "amplitudes must be finite"),
+        (StateVector, [0, -_INF, 0, 0], ValueError, None, "amplitudes must be finite"),
+        (StateVector, [complex(0, _INF), 0, 0, 0], ValueError, None, "amplitudes must be finite"),
+        (StateVector, [1, 1, 0, 0], ValueError, None, "state is not normalised"),
+        (UnitaryMatrix, np.eye(3), ValueError, None, "expected a 4x4 matrix"),
+        (UnitaryMatrix, np.ones((4, 3)), ValueError, None, "expected a square matrix"),
+        (UnitaryMatrix, np.diag([_NAN, 1, 1, 1]), ValueError, None, _NOT_FINITE),
+        (UnitaryMatrix, np.diag([_INF, 1, 1, 1]), ValueError, None, _NOT_FINITE),
+        (UnitaryMatrix, np.diag([1, 1, 1, -_INF]), ValueError, None, _NOT_FINITE),
+        (UnitaryMatrix, 1.5 * np.eye(4), ValueError, None, "matrix is not unitary"),
+        (DensityMatrix, np.ones((2, 3)), ValueError, None, "expected a square matrix"),
+        (DensityMatrix, np.ones(4), ValueError, None, "expected a square matrix"),
+        (DensityMatrix, np.diag([_NAN, 0.5]), ValueError, None, _NOT_FINITE),
+        (DensityMatrix, np.diag([0.5, _INF]), ValueError, None, _NOT_FINITE),
+        (DensityMatrix, [[0.5, -_INF], [-_INF, 0.5]], ValueError, None, _NOT_FINITE),
+        (DensityMatrix, [[0.5, 1.0], [0.0, 0.5]], DensityMatrixError, "hermiticity",
+         "invalid density matrix (hermiticity): not Hermitian"),
+        (DensityMatrix, np.diag([0.6, 0.6]), DensityMatrixError, "trace",
+         "invalid density matrix (trace): |tr(rho) - 1|"),
+    ],
+)
+def test_certificates_reject_each_bad_input(build, value, error, violation, message):
+    # The suite turns a numpy RuntimeWarning into an error, so a check that
+    # warns on NaN or inf fails here as well.
+    with pytest.raises(ValueError) as err:
+        build(np.asarray(value))
+    assert type(err.value) is error
+    assert getattr(err.value, "violation", None) == violation
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "run, value, error, violation",
+    [
+        (hermitian_eigensystem, [[0.0, 1e308], [-1e308, 0.0]], ValueError, None),
+        (hermitian_eigensystem, [[0.0, 1e308], [1e308, 0.0]], None, None),
+        # The Hermitian average overflows, so the embedding is not finite.
+        (validate_density, [[0.5, 1e308], [1e308, 0.5]], ValueError, None),
+        (DensityMatrix, [[0.5, 1e308], [-1e308, 0.5]], DensityMatrixError, "hermiticity"),
+        (DensityMatrix, [[1e308, 0.0], [0.0, 1e308]], DensityMatrixError, "trace"),
+        (UnitaryMatrix, np.full((4, 4), 1e200), ValueError, None),
+        (StateVector, [1e200, 0, 0, 0], ValueError, None),
+    ],
+    ids=["eig-antisymmetric", "eig-symmetric", "validate", "density-hermiticity",
+         "density-trace", "unitary", "state"],
+)
+def test_huge_finite_input_is_judged_without_a_warning(run, value, error, violation):
+    # Near the float maximum a difference, sum or product overflows; numpy
+    # would warn, which this suite turns into an error.
+    value = np.array(value, dtype=float)
+    if error is None:
+        eig = run(value)
+        assert eig.eigenvalues.tolist() == pytest.approx([-1e308, 1e308], rel=1e-15)
+        return
+    with pytest.raises(ValueError) as err:
+        run(value)
+    assert type(err.value) is error
+    assert getattr(err.value, "violation", None) == violation
 
 
 # -------------------------------------------------------------- evolution

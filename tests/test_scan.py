@@ -27,6 +27,7 @@ from tqcoh.scan import (
     MECHANISM_TUNNELLING_OFF,
     ScanGrid,
     TimeGrid,
+    _draw_parameters,
     cross_validate,
     find_operating_point,
     grid_scan,
@@ -475,3 +476,17 @@ def test_report_serialises():
     assert doc["draws"] == 3 and doc["passed"] is True
     assert len(doc["checks"]) == 4
     assert {"name", "max_deviation", "worst_draw"} <= set(doc["checks"][0])
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**31 - 1])
+def test_draw_parameters_keeps_the_documented_order(seed):
+    # The report names its worst draws by index; this is the order the
+    # docstring gives, with hbar drawn by Generator.choice.
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(10_000):
+        params, t = _draw_parameters(rng)
+        e_j = reference.uniform(-5.0, 5.0)
+        e_m = reference.uniform(-5.0, 5.0)
+        hbar = float(reference.choice([0.5, 1.0, 2.0]))
+        t_ref = reference.uniform(0.0, 50.0)
+        assert (params.e_j, params.e_m, params.hbar, t) == (e_j, e_m, hbar, t_ref)
