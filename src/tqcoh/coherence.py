@@ -34,11 +34,9 @@ from .model import CircuitParams, check_phase, scaled_energies
 
 __all__ = [
     "CoherenceExtrema",
-    "DensityMatrixError",
     "closed_form_coherence",
     "coherence_extrema",
     "l1_coherence",
-    "off_diagonal_l1",
     "validate_density",
 ]
 
@@ -53,13 +51,20 @@ def validate_density(matrix) -> DensityMatrix:
     [[Re rho, -Im rho], [Im rho, Re rho]] has rho's eigenvalues, each twice.
     """
     rho = DensityMatrix(matrix)
-    # Embed the exactly Hermitian average (shift below tolerance); an overflow fails as not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        avg = (rho.matrix + rho.matrix.conj().T) / 2.0
+    m = rho.matrix
+    # Scale by 2^-exponent so that no real or imaginary part exceeds 1: the
+    # average and the embedding's norm cannot overflow, and eigenvalues scale exactly.
+    peak = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    exponent = math.frexp(peak)[1] if peak > 1.0 else 0
+    if exponent:
+        m = m * 2.0**-exponent
+    # Embed the exactly Hermitian average (shift below tolerance).
+    avg = (m + m.conj().T) / 2.0
     eig = hermitian_eigensystem(np.block([[avg.real, -avg.imag], [avg.imag, avg.real]]))
     min_eig = float(eig.eigenvalues[0])
-    if min_eig < -1e-9:
-        raise DensityMatrixError("positivity", f"smallest eigenvalue = {min_eig:.3e}")
+    if min_eig < -1e-9 * 2.0**-exponent:
+        scale = f" * 2^{exponent}" if exponent else ""
+        raise DensityMatrixError("positivity", f"smallest eigenvalue = {min_eig:.3e}{scale}")
     return rho
 
 

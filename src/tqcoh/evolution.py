@@ -49,7 +49,6 @@ __all__ = [
     "density_matrix",
     "evolve",
     "numeric_propagator",
-    "spectral_rows",
 ]
 
 _EYE4 = np.eye(4)
@@ -139,10 +138,10 @@ class DensityMatrix:
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite defect fails
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        square = m.ndim == 2 and m.shape[0] == m.shape[1]
+        square = m.ndim == 2 and 0 < m.shape[0] == m.shape[1]
         herm_defect = np.abs(m - m.conj().T).max() if square else math.inf
         if not herm_defect <= 1e-10:
-            as_complex_matrix(m)  # a non-square or non-finite m fails here
+            as_complex_matrix(m)  # an empty, non-square or non-finite m fails here
             raise DensityMatrixError(
                 "hermiticity", f"not Hermitian: max |rho - rho+| = {herm_defect:.3e}"
             )

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "EigenConvergenceError",
     "EigenSystem",
-    "as_complex_matrix",
     "hermitian_eigensystem",
 ]
 
@@ -42,10 +41,12 @@ class EigenConvergenceError(RuntimeError):
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex128 array, rejecting NaN/Inf."""
+    """Coerce ``m`` to a non-empty square complex128 array, rejecting NaN/Inf."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not a.size:
+        raise ValueError(f"expected a non-empty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -102,8 +103,8 @@ def hermitian_eigensystem(h) -> EigenSystem:
             function never silently returns an unconverged answer.
     """
     h = np.asarray(h)
-    if h.ndim != 2 or len(h) != h.shape[1] or not np.isfinite(h).all():
-        as_complex_matrix(h)  # raises, naming a non-square or non-finite h
+    if h.ndim != 2 or not 0 < len(h) == h.shape[1] or not np.isfinite(h).all():
+        as_complex_matrix(h)  # raises, naming an empty, non-square or non-finite h
     if np.iscomplexobj(h) and h.imag.any():
         raise ValueError("expected a real symmetric matrix")
     h = np.asarray(h.real, dtype=float)

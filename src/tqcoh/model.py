@@ -22,10 +22,7 @@ import numpy as np
 __all__ = [
     "CircuitParams",
     "InputError",
-    "PAULI_X",
-    "PAULI_Z",
     "build_hamiltonian_tensor",
-    "check_phase",
     "scaled_energies",
 ]
 

@@ -40,7 +40,6 @@ from .model import (
 )
 
 __all__ = [
-    "CheckResult",
     "CoherenceSeries",
     "OperatingPoint",
     "ScanGrid",

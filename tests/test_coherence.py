@@ -68,6 +68,22 @@ def test_validate_density_sees_imaginary_parts():
         validate_density(np.array([[0.5, 0.6j], [-0.6j, 0.5]]))
 
 
+@pytest.mark.parametrize(
+    "rho, smallest",
+    [
+        # The eigenvalue 0.5 - 1e308, in units of 2^1024.
+        ([[0.5, 1e308], [1e308, 0.5]], "-5.563e-01 * 2^1024"),
+        # -1.5e-9 in units of 2: the -1e-9 bound is scaled with the matrix.
+        (np.diag([1.0 + 1.5e-9, -1.5e-9]), "-7.500e-10 * 2^1"),
+    ],
+)
+def test_validate_density_names_a_scaled_smallest_eigenvalue(rho, smallest):
+    with pytest.raises(DensityMatrixError) as err:
+        validate_density(np.asarray(rho))
+    assert err.value.violation == "positivity"
+    assert str(err.value).endswith(f"smallest eigenvalue = {smallest}")
+
+
 @given(hermitian_matrix_4(), st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=150)
 def test_validate_density_matches_lapack_positivity(h, scale):

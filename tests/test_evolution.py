@@ -181,6 +181,7 @@ def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
 
 _NAN, _INF = float("nan"), float("inf")
 _NOT_FINITE = "matrix entries must be finite"
+_EMPTY = "expected a non-empty matrix, got shape (0, 0)"
 
 
 @pytest.mark.parametrize(
@@ -208,6 +209,9 @@ _NOT_FINITE = "matrix entries must be finite"
          "invalid density matrix (hermiticity): not Hermitian"),
         (DensityMatrix, np.diag([0.6, 0.6]), DensityMatrixError, "trace",
          "invalid density matrix (trace): |tr(rho) - 1|"),
+        (DensityMatrix, np.zeros((0, 0)), ValueError, None, _EMPTY),
+        (validate_density, np.zeros((0, 0)), ValueError, None, _EMPTY),
+        (hermitian_eigensystem, np.zeros((0, 0)), ValueError, None, _EMPTY),
     ],
 )
 def test_certificates_reject_each_bad_input(build, value, error, violation, message):
@@ -225,8 +229,8 @@ def test_certificates_reject_each_bad_input(build, value, error, violation, mess
     [
         (hermitian_eigensystem, [[0.0, 1e308], [-1e308, 0.0]], ValueError, None),
         (hermitian_eigensystem, [[0.0, 1e308], [1e308, 0.0]], None, None),
-        # The Hermitian average overflows, so the embedding is not finite.
-        (validate_density, [[0.5, 1e308], [1e308, 0.5]], ValueError, None),
+        # Hermitian with unit trace, but its eigenvalue 0.5 - 1e308 is negative.
+        (validate_density, [[0.5, 1e308], [1e308, 0.5]], DensityMatrixError, "positivity"),
         (DensityMatrix, [[0.5, 1e308], [-1e308, 0.5]], DensityMatrixError, "hermiticity"),
         (DensityMatrix, [[1e308, 0.0], [0.0, 1e308]], DensityMatrixError, "trace"),
         (UnitaryMatrix, np.full((4, 4), 1e200), ValueError, None),

@@ -97,6 +97,20 @@ def test_eigensystem_rejects_non_hermitian():
         hermitian_eigensystem(m)
 
 
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        (np.zeros((0, 0)), "expected a non-empty matrix, got shape (0, 0)"),
+        (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
+        (np.ones(4), "expected a square matrix, got shape (4,)"),
+    ],
+)
+def test_eigensystem_rejects_each_bad_shape(h, message):
+    with pytest.raises(ValueError) as err:
+        hermitian_eigensystem(h)
+    assert str(err.value) == message
+
+
 def test_eigensystem_subnormal_coupling_is_finite():
     # The subnormal coupling is zeroed, not rotated; the spectrum must stay
     # finite and agree with LAPACK's.

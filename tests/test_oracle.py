@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tqcoh.coherence import closed_form_coherence
+from tqcoh.coherence import closed_form_coherence, coherence_extrema
 from tqcoh.evolution import (
     BellLabel,
     analytic_propagator,
@@ -20,7 +20,7 @@ from tqcoh.evolution import (
     numeric_propagator,
 )
 from tqcoh.model import CircuitParams, scaled_energies
-from tqcoh.scan import THRESHOLD, TimeGrid, _draw_parameters, time_series
+from tqcoh.scan import THRESHOLD, TimeGrid, _draw_parameters, find_operating_point, time_series
 
 DRAWS = 100
 EPS = np.finfo(float).eps
@@ -41,12 +41,17 @@ def norm_h(params: CircuitParams) -> float:
     return abs(0.25 * params.hbar**2 * params.e_m) + abs(params.hbar * params.e_j)
 
 
-def oracle(params: CircuitParams, t: float):
-    """(U, {label: (rho, C)}) at t as complex128 and float.
+def rounding_scale(params: CircuitParams, t: float) -> float:
+    """B0 = eps (1 + ||H|| t / hbar + t root), the rounding-error scale at t."""
+    return EPS * (1.0 + norm_h(params) * t / params.hbar + t * scaled_energies(params)[0])
 
-    The working precision is 30 digits plus the digits of ||H|| t / hbar.
+
+def oracle(params: CircuitParams, times):
+    """{t: (U, {label: (rho, C)})} for each t, as complex128 and float, from one eigh.
+
+    The working precision is 30 digits plus the digits of ||H|| t / hbar at the latest t.
     """
-    phase = norm_h(params) * t / params.hbar
+    phase = norm_h(params) * max(times) / params.hbar
     with mpmath.workdps(30 + len(f"{phase:.0f}")):
         e_j, e_m, hbar = (mpmath.mpf(v) for v in (params.e_j, params.e_m, params.hbar))
         coupling = hbar**2 * e_m / 4
@@ -54,26 +59,50 @@ def oracle(params: CircuitParams, t: float):
         for i, j in _TUNNELLING:
             h[i, j] = h[j, i] = -hbar * e_j / 2
         values, vectors = mpmath.eigh(h)
-        phases = mpmath.diag([mpmath.expj(-lam * t / hbar) for lam in values])
-        u = vectors * phases * vectors.H
-        states = {}
-        for label, signs in _SIGNS.items():
-            psi = u * mpmath.matrix(signs) / mpmath.sqrt(2)
-            rho = psi * psi.H
-            c = sum(abs(rho[i, j]) for i in range(4) for j in range(4) if i != j)
-            states[label] = (np.array(rho.tolist(), dtype=complex), float(c))
-        return np.array(u.tolist(), dtype=complex), states
+        out = {}
+        for t in times:
+            phases = mpmath.diag([mpmath.expj(-lam * t / hbar) for lam in values])
+            u = vectors * phases * vectors.H
+            states = {}
+            for label, signs in _SIGNS.items():
+                psi = u * mpmath.matrix(signs) / mpmath.sqrt(2)
+                rho = psi * psi.H
+                c = sum(abs(rho[i, j]) for i in range(4) for j in range(4) if i != j)
+                states[label] = (np.array(rho.tolist(), dtype=complex), float(c))
+            out[t] = np.array(u.tolist(), dtype=complex), states
+        return out
+
+
+def maximum(route: str, label: BellLabel, params: CircuitParams, t: float):
+    """(time, C) of the library's maximum of C for a label, over one period or over [0, t]."""
+    if route == "coherence_extrema":
+        ext = coherence_extrema(label, params)
+        return ext.t_of_first_max, ext.max_value
+    point = find_operating_point(label, params, (0.0, t), "maximize")
+    return point.t, point.coherence
+
+
+_MAXIMUM_ROUTES = ("coherence_extrema", "find_operating_point")
+_OSCILLATING = (BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
 
 
 @pytest.fixture(scope="module")
 def draws():
-    """(params, t, B0, U, states) of the first 100 ``verify --seed 42`` draws."""
+    """(params, t, truth) of the first 100 ``verify --seed 42`` draws.
+
+    ``truth`` is the oracle at t and at each maximum's time of the
+    oscillating labels.
+    """
     rng = np.random.default_rng(42)
     out = []
     for _ in range(DRAWS):
         params, t = _draw_parameters(rng)
-        b0 = EPS * (1.0 + norm_h(params) * t / params.hbar + t * scaled_energies(params)[0])
-        out.append((params, t, b0, *oracle(params, t)))
+        times = {t} | {
+            maximum(route, label, params, t)[0]
+            for route in _MAXIMUM_ROUTES
+            for label in _OSCILLATING
+        }
+        out.append((params, t, oracle(params, sorted(times))))
     return out
 
 
@@ -110,7 +139,18 @@ def route_errors(route: str, params: CircuitParams, t: float, u, states):
     ],
 )
 def test_each_route_is_within_its_rounding_bound_of_the_oracle(route, draws):
-    for params, t, b0, u, states in draws:
-        error = float(max(route_errors(route, params, t, u, states)))
+    for params, t, truth in draws:
+        error = float(max(route_errors(route, params, t, *truth[t])))
         assert error <= THRESHOLD, (params, t, error)
-        assert error <= 8.0 * b0, (params, t, error / b0)
+        assert error <= 8.0 * rounding_scale(params, t), (params, t, error)
+
+
+@pytest.mark.parametrize("route", _MAXIMUM_ROUTES)
+def test_each_maximum_is_within_its_rounding_bound_of_the_oracle(route, draws):
+    # The value the library reports for its maximum, against the oracle's C at its time.
+    for params, t, truth in draws:
+        for label in _OSCILLATING:
+            at, value = maximum(route, label, params, t)
+            error = abs(value - truth[at][1][label][1])
+            assert error <= THRESHOLD, (label, params, at, error)
+            assert error <= 8.0 * rounding_scale(params, at), (label, params, at, error)

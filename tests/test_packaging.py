@@ -3,6 +3,9 @@
 import pathlib
 import re
 
+import tqcoh
+from tqcoh import coherence, evolution, linalg, model, scan
+
 ROOT = pathlib.Path(__file__).parent.parent
 
 
@@ -23,3 +26,14 @@ def test_ci_numpy_floor_matches_pyproject():
     pinned = re.findall(r'numpy:\s*"([0-9][0-9.]*)"', include)
     assert len(floors) == 1 and len(pinned) == 1, (floors, pinned)
     assert _release(floors[0]) == _release(pinned[0])
+
+
+def test_package_exports_each_module_all():
+    modules = (coherence, evolution, linalg, model, scan)
+    declared = ["__version__"] + [name for module in modules for name in module.__all__]
+    # No duplicates, within a module or across two, and nothing else.
+    assert len(set(declared)) == len(declared) == len(tqcoh.__all__)
+    assert set(tqcoh.__all__) == set(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(tqcoh, name) is getattr(module, name), (module.__name__, name)
