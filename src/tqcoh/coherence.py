@@ -101,16 +101,27 @@ def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
     if label.stationary:
         return 1.0 if scalar else np.ones_like(t)
 
-    # The expression divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2.
     root, jr, mr = scaled_energies(params)
     check_phase(params, t, root)
-    radicand = (
-        jr**2
-        * np.sin(0.25 * t * root) ** 2
-        * (8.0 * jr**2 * (np.cos(0.5 * t * root) + 1.0) + mr**2)
-    )
-    out = 1.0 + 16.0 * np.sqrt(radicand)
+    out = _oscillating_coherence(root, jr**2, mr**2, t)
     return float(out) if scalar else out
+
+
+def _oscillating_coherence(root, jr2, mr2, t):
+    """C(t) of |phi+> and |psi+>, divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2.
+
+    The one copy of the formula: :func:`closed_form_coherence` passes one
+    parameter set, and ``scan.cross_validate`` arrays of them for a block
+    of draws. ``jr2`` and ``mr2`` are (e_j / root)^2 and (hbar e_m / root)^2,
+    squared by the caller in Python. numpy squares an array by
+    multiplication but a float64 scalar through libm ``pow``; the two
+    differ in the last bit for some inputs, so the sine is squared by
+    multiplication here, the same for a scalar t and an array. Phases are
+    not checked here.
+    """
+    sf = np.sin(0.25 * t * root)
+    radicand = jr2 * (sf * sf) * (8.0 * jr2 * (np.cos(0.5 * t * root) + 1.0) + mr2)
+    return 1.0 + 16.0 * np.sqrt(radicand)
 
 
 @dataclass(frozen=True)

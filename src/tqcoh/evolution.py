@@ -220,14 +220,32 @@ def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndar
     """(exp(-i lambda t / hbar) * coeffs) @ V^T for scalar or array t.
 
     With ``coeffs`` = V^T psi0 the rows are psi(t); with ``coeffs`` = V
-    (real) and scalar t the result is U(t)^T. The eigenvalues ascend, so
-    the largest |lambda| of the phase check is at one of the ends.
+    (real) and scalar t the result is U(t)^T. The phase is checked by
+    :func:`_check_spectral_phase` first.
+    """
+    _check_spectral_phase(eig, params, t)
+    t = t[..., np.newaxis] if isinstance(t, np.ndarray) else t
+    return _spectral_synthesis(eig.eigenvalues, eig.eigenvectors, t, params.hbar, coeffs)
+
+
+def _check_spectral_phase(eig: EigenSystem, params: CircuitParams, t) -> None:
+    """Raise ValueError unless every phase lambda t / hbar of ``eig`` is finite.
+
+    The eigenvalues ascend, so the largest |lambda| is at one of the ends.
     """
     values = eig.eigenvalues
     check_phase(params, t, max(-float(values[0]), float(values[-1])), params.hbar)
-    t = t[..., np.newaxis] if isinstance(t, np.ndarray) else t
-    phases = np.exp(-1j * t * values / params.hbar)
-    return (phases * coeffs) @ eig.eigenvectors.T
+
+
+def _spectral_synthesis(values, vectors, t, hbar, coeffs) -> np.ndarray:
+    """(exp(-i values t / hbar) * coeffs) @ vectors^T, broadcast over leading axes.
+
+    The one copy of the spectral formula: :func:`spectral_rows` passes one
+    eigensystem, and ``scan.cross_validate`` a stack of them (N x 1 x 4
+    values, N x 4 x 4 vectors, t and hbar as N x 1 x 1) for a block of
+    draws. Phases are not checked here.
+    """
+    return (np.exp(-1j * t * values / hbar) * coeffs) @ vectors.swapaxes(-1, -2)
 
 
 def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
@@ -258,8 +276,12 @@ def density_matrix(state: StateVector) -> DensityMatrix:
     Its purity needs no check: tr(rho^2) = (tr rho)^2, and the
     DensityMatrix certificate already bounds tr rho.
     """
-    amp = state.amplitudes
-    return DensityMatrix(amp[:, np.newaxis] * amp.conj())
+    return DensityMatrix(_projector(state.amplitudes))
+
+
+def _projector(psi) -> np.ndarray:
+    """|psi><psi| over the last axis, for one state or a stack of them."""
+    return psi[..., :, np.newaxis] * psi.conj()[..., np.newaxis, :]
 
 
 def closed_form_density(

@@ -16,21 +16,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .coherence import closed_form_coherence, coherence_extrema, l1_coherence, off_diagonal_l1
+from .coherence import (
+    _oscillating_coherence,
+    closed_form_coherence,
+    coherence_extrema,
+    off_diagonal_l1,
+)
 from .evolution import (
     BellLabel,
+    DensityMatrix,
+    StateVector,
+    UnitaryMatrix,
+    _check_spectral_phase,
+    _projector,
+    _spectral_synthesis,
     analytic_propagator,
     bell_state,
     closed_form_density,
-    density_matrix,
-    evolve,
-    numeric_propagator,
     spectral_rows,
 )
-from .linalg import hermitian_eigensystem
+from .linalg import EigenSystem, hermitian_eigensystem
 from .model import (
     CircuitParams,
     InputError,
@@ -62,6 +71,17 @@ THRESHOLD = 1e-9
 # the CLI's CSV writers. The per-block arrays (N x 4 states, N x 4 x 4
 # moduli) then stay near 0.5 MiB whatever the number of steps.
 _BLOCK_ROWS = 2048
+
+# Draws per block of the stacked arithmetic in :func:`cross_validate`.
+# Per-draw results live only until their block is reduced, so its peak
+# (about 2 MiB traced by tracemalloc) does not grow with the number of draws.
+_BLOCK_DRAWS = 256
+
+_CHECK_NAMES = ("propagator", "density", "coherence", "unitarity")
+# A tuple: iterating the enum class takes about 2 us a loop, twice per draw.
+_LABELS = tuple(BellLabel)
+_STATIONARY = np.array([label.stationary for label in _LABELS])
+_BELL_INPUTS = [bell_state(label).amplitudes for label in _LABELS]
 
 # The most float64 elements numpy can size; beyond it numpy raises a
 # ValueError ("array is too big") instead of a MemoryError.
@@ -164,7 +184,7 @@ def time_series(
     for lo in range(0, len(times), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
         psi = spectral_rows(eig, params, times[block], coeffs)
-        numeric[block] = off_diagonal_l1(psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :])
+        numeric[block] = off_diagonal_l1(_projector(psi))
 
     # |closed - numeric| is finite exactly when both columns are.
     gap = np.abs(closed - numeric)
@@ -326,6 +346,11 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
       propagated density matrix;
     * "unitarity": max |U+U - I| over both propagator routes.
 
+    Each draw runs its closed forms and its own eigensolve in draw order
+    (:func:`_route_draw`); the arithmetic between them runs on stacks, one
+    block of up to ``_BLOCK_DRAWS`` draws at a time
+    (:func:`_block_deviations`), with the same floating-point results as
+    one draw at a time. Each check records the latest of its worst draws.
     The report passes iff every recorded maximum is at most ``THRESHOLD``.
     """
     if draws < 1:
@@ -333,39 +358,17 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     if seed < 0:
         raise InputError(f"cross-validation needs a non-negative seed, got {seed!r}")
     rng = np.random.default_rng(seed)
-    names = ("propagator", "density", "coherence", "unitarity")
     # Per check: (max deviation, draw, params, t) of the latest worst draw.
     worst: dict[str, tuple[float, int, CircuitParams, float]] = {}
 
-    for index in range(draws):
-        params, t = _draw_parameters(rng)
-        u_closed = analytic_propagator(params, t)
-        u_spectral = numeric_propagator(params, t)
+    for lo in range(0, draws, _BLOCK_DRAWS):
+        block = [_route_draw(rng) for _ in range(min(_BLOCK_DRAWS, draws - lo))]
+        for name, devs in zip(_CHECK_NAMES, _block_deviations(block)):
+            i = len(devs) - 1 - int(np.argmax(devs[::-1]))  # the block's latest worst
+            if devs[i] >= worst.get(name, (0.0,))[0]:
+                worst[name] = (float(devs[i]), lo + i, block[i].params, block[i].t)
 
-        devs = {
-            "propagator": float(np.abs(u_closed.matrix - u_spectral.matrix).max()),
-            "unitarity": max(u_closed.defect, u_spectral.defect),
-            "density": 0.0,
-            "coherence": 0.0,
-        }
-        for label in BellLabel:
-            rho_closed = closed_form_density(label, params, t)
-            rho_piped = density_matrix(evolve(bell_state(label), u_spectral))
-            devs["density"] = max(
-                devs["density"],
-                float(np.abs(rho_closed.matrix - rho_piped.matrix).max()),
-            )
-            devs["coherence"] = max(
-                devs["coherence"],
-                abs(
-                    closed_form_coherence(label, params, t) - l1_coherence(rho_piped)
-                ),
-            )
-        for name in names:
-            if devs[name] >= worst.get(name, (0.0,))[0]:
-                worst[name] = (devs[name], index, params, t)
-
-    checks = tuple(CheckResult(name, *worst[name]) for name in names)
+    checks = tuple(CheckResult(name, *worst[name]) for name in _CHECK_NAMES)
     passed = all(c.max_deviation <= THRESHOLD for c in checks)
     worst_check = max(checks, key=lambda c: c.max_deviation).name
     return ValidationReport(
@@ -375,4 +378,78 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
         checks=checks,
         passed=passed,
         worst_check=worst_check,
+    )
+
+
+class _Draw(NamedTuple):
+    """What one :func:`cross_validate` draw computes on its own."""
+
+    params: CircuitParams
+    t: float
+    u_closed: UnitaryMatrix
+    eig: EigenSystem
+    rho_closed: list  # one 4 x 4 matrix per BellLabel
+    ratios: tuple[float, float, float]  # root, (e_j / root)^2, (hbar e_m / root)^2
+
+
+def _route_draw(rng: np.random.Generator) -> _Draw:
+    """One draw and the steps it runs on its own, in order.
+
+    The closed-form U, the eigensolve and its phase check, and the four
+    closed-form densities.
+    """
+    params, t = _draw_parameters(rng)
+    u_closed = analytic_propagator(params, t)
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
+    _check_spectral_phase(eig, params, t)
+    rho_closed = [closed_form_density(label, params, t).matrix for label in _LABELS]
+    root, jr, mr = scaled_energies(params)
+    return _Draw(params, t, u_closed, eig, rho_closed, (root, jr**2, mr**2))
+
+
+def _block_deviations(block: list[_Draw]) -> tuple[np.ndarray, ...]:
+    """Each draw's deviation for each of ``_CHECK_NAMES``, one array per check.
+
+    The spectral U, the four evolved Bell states, their densities, both
+    coherences and the deviations are computed on N x ... stacks. Each
+    draw still makes the certificates a draw-by-draw chain of
+    ``numeric_propagator``, ``evolve`` and ``density_matrix`` would: its
+    spectral U, and per label the input state, the evolved state and its
+    density. With the two of :func:`_route_draw` that makes the 18 per
+    draw that ``perfbench/test_selftest.py`` pins; the input states are
+    constants, so their certificates only keep that count.
+    """
+    t = np.array([d.t for d in block])
+    hbar = np.array([d.params.hbar for d in block])
+    values = np.array([d.eig.eigenvalues for d in block])
+    # Each V^T C-contiguous and each V its transpose, as the eigensolver gives them.
+    vectors = np.array([d.eig.eigenvectors.T for d in block]).swapaxes(1, 2)
+    synthesis = _spectral_synthesis(
+        values[:, np.newaxis, :], vectors, t[:, np.newaxis, np.newaxis],
+        hbar[:, np.newaxis, np.newaxis], vectors,
+    )
+    # U is the transpose of the synthesised U^T, as in numeric_propagator:
+    # BLAS rounds U @ b differently for a C-contiguous U.
+    u_spectral = synthesis.swapaxes(1, 2)
+    psi = np.stack([u_spectral @ b for b in _BELL_INPUTS], axis=1)  # draw, label, entry
+    rho = _projector(psi)
+    root, jr2, mr2 = np.array([d.ratios for d in block]).T
+    oscillating = _oscillating_coherence(root, jr2, mr2, t)
+    c_closed = np.where(_STATIONARY, 1.0, oscillating[:, np.newaxis])  # draw, label
+
+    unitarity = np.empty(len(block))
+    for i, (d, u, states, rhos) in enumerate(zip(block, u_spectral, psi, rho)):
+        unitarity[i] = max(d.u_closed.defect, UnitaryMatrix(u).defect)
+        for amplitudes, state, r in zip(_BELL_INPUTS, states, rhos):
+            StateVector(amplitudes)  # the input state, as bell_state certifies it
+            StateVector(state)
+            DensityMatrix(r)
+
+    u_closed = np.array([d.u_closed.matrix for d in block])
+    rho_closed = np.array([d.rho_closed for d in block])
+    return (
+        np.abs(u_closed - u_spectral).max(axis=(1, 2)),
+        np.abs(rho_closed - rho).max(axis=(1, 2, 3)),
+        np.abs(c_closed - off_diagonal_l1(rho)).max(axis=1),
+        unitarity,
     )
