@@ -156,6 +156,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+_LABELS = tuple(BellLabel)  # iterating the enum class takes about 2 us a loop
 # Each Bell state is sqrt(1/2) s for its sign vector s. Integer signs keep
 # every zero of s s^T positive; with float signs, -1.0 * 0.0 is -0.0.
 _BELL_SIGNS = {
@@ -166,8 +167,8 @@ _BELL_SIGNS = {
 }
 # Built once; each certificate copies them into a complex array of its own.
 _BELL_AMPLITUDES = {label: math.sqrt(0.5) * s for label, s in _BELL_SIGNS.items()}
-_STATIONARY_RHO = {label: 0.5 * (s[:, np.newaxis] * s)
-                   for label, s in _BELL_SIGNS.items() if label.stationary}
+# s s^T / 2 in BellLabel order: rho(t) of |phi-> and |psi->, rho(0) of the others.
+_BELL_RHO = np.array([0.5 * (s[:, np.newaxis] * s) for s in _BELL_SIGNS.values()], dtype=complex)
 
 
 def bell_state(label: BellLabel) -> StateVector:
@@ -175,21 +176,19 @@ def bell_state(label: BellLabel) -> StateVector:
     return StateVector(_BELL_AMPLITUDES[label])
 
 
-def _propagator_elements(params: CircuitParams, t):
+def _propagator_elements(root, jr, mr, slow, t):
     """The five distinct closed-form propagator elements.
 
     Returns (u11, u12, u14, u22, u23) where u11 also fills position (4,4),
     u12 fills the eight equal off-block positions, u14 fills (4,1), u22
-    fills (3,3) and u23 fills (3,2). ``t`` may be a scalar or an array;
-    the elements broadcast accordingly. The slow phase t hbar e_m / 4 is
-    at most the fast one t root / 4, so one check covers both.
+    fills (3,3) and u23 fills (3,2). ``root, jr, mr`` are scaled_energies
+    and ``slow`` is hbar e_m; they and ``t`` may be scalars or arrays, and
+    the elements broadcast accordingly. Phases are not checked here.
     """
-    root, jr, mr = scaled_energies(params)
-    check_phase(params, t, root)
     sf = np.sin(0.25 * t * root)
     cf = np.cos(0.25 * t * root)
-    ss = np.sin(0.25 * t * (params.hbar * params.e_m))
-    cs = np.cos(0.25 * t * (params.hbar * params.e_m))
+    ss = np.sin(0.25 * t * slow)
+    cs = np.cos(0.25 * t * slow)
 
     u11 = -0.5j * mr * sf + 0.5 * cf - 0.5j * ss + 0.5 * cs
     u12 = 2.0j * jr * sf
@@ -200,20 +199,23 @@ def _propagator_elements(params: CircuitParams, t):
 
 
 def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
-    """Place the five distinct elements; works for scalar or batched input."""
+    """Place the five distinct elements in the last two axes."""
     rows = [
         [u11, u12, u12, u14],
         [u12, u22, u23, u12],
         [u12, u23, u22, u12],
         [u14, u12, u12, u11],
     ]
-    return np.array(rows) if np.ndim(u11) == 0 else np.moveaxis(np.array(rows), (0, 1), (-2, -1))
+    return np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
-    """Closed-form U(t), element by element."""
-    matrix = _assemble_propagator(*_propagator_elements(params, float(t)))
-    return UnitaryMatrix(matrix)
+    """Closed-form U(t). Its slow phase t hbar e_m / 4 is at most the fast t root / 4."""
+    t = float(t)
+    root, jr, mr = scaled_energies(params)
+    check_phase(params, t, root)
+    elements = _propagator_elements(root, jr, mr, params.hbar * params.e_m, t)
+    return UnitaryMatrix(_assemble_propagator(*elements))
 
 
 def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndarray:
@@ -284,40 +286,38 @@ def _projector(psi) -> np.ndarray:
     return psi[..., :, np.newaxis] * psi.conj()[..., np.newaxis, :]
 
 
-def closed_form_density(
-    label: BellLabel, params: CircuitParams, t: float
-) -> DensityMatrix:
-    """The closed-form density matrix rho(t) for a Bell input.
-
-    |phi-> and |psi-> only pick up a global phase, so their matrices are
-    the constant s s^T / 2 of their sign vector s. For |phi+> and |psi+>
-    the sixteen entries are built from the derived trigonometric
-    expressions; at e_j = e_m = 0 they give rho(t) = rho(0). The phase t root / 4 is checked for every label.
-    """
+def closed_form_density(label: BellLabel, params: CircuitParams, t: float) -> DensityMatrix:
+    """The closed-form density matrix rho(t) for a Bell input; the phase is checked first."""
     root, jr, mr = scaled_energies(params)
     check_phase(params, t, root)
-    if label.stationary:
-        return DensityMatrix(_STATIONARY_RHO[label])
+    return DensityMatrix(_closed_form_rho(jr, mr, 0.25 * t * root)[_LABELS.index(label)])
 
-    sf = math.sin(0.25 * t * root)
-    cf = math.cos(0.25 * t * root)
-    corner = mr**2 * sf**2 / 2.0 + 0.5 * cf**2
-    inner = 8.0 * jr**2 * sf**2
-    cross = 2.0 * jr * mr * sf**2
+
+def _closed_form_rho(jr, mr, phase) -> np.ndarray:
+    """rho(t) of the four Bell inputs in BellLabel order, as a ... x 4 x 4 x 4 stack.
+
+    The one copy of the formula, for one parameter set or a block of
+    ``scan.cross_validate`` draws. ``jr`` and ``mr`` are e_j / root and
+    hbar e_m / root, ``phase`` is t root / 4; they broadcast. |phi-> and
+    |psi-> only pick up a global phase, so theirs is the constant s s^T / 2
+    of their sign vector s. The entries of |phi+> and |psi+> are the
+    derived trigonometric expressions, squared by products; at e_j = e_m = 0
+    they give rho(0). Phases are not checked here.
+    """
+    sf, cf = np.sin(phase), np.cos(phase)
+    s2 = sf * sf
+    corner = mr * mr * s2 / 2.0 + 0.5 * (cf * cf)
+    inner = 8.0 * (jr * jr) * s2
+    cross = 2.0 * jr * mr * s2
     wave = 2.0 * jr * sf * cf
+    edge = cross + 1j * wave  # rho_12 = rho_13 = rho_42 = rho_43 of |psi+>
 
+    rho = np.array(np.broadcast_to(_BELL_RHO, np.shape(edge) + _BELL_RHO.shape))
+    # Rows and columns ::3 (0 and 3) hold the outer block, 1:3 the middle one.
     # |psi+> swaps the outer and middle blocks of |phi+> and negates the edge.
-    if label is BellLabel.PHI_PLUS:
-        outer, middle, edge = corner, inner, -cross - 1j * wave
-    else:  # PSI_PLUS
-        outer, middle, edge = inner, corner, +cross + 1j * wave
-    conj_edge = edge.conjugate()  # edge is rho_12 = rho_13 = rho_42 = rho_43
-    rho = np.array(
-        [
-            [outer, edge, edge, outer],
-            [conj_edge, middle, middle, conj_edge],
-            [conj_edge, middle, middle, conj_edge],
-            [outer, edge, edge, outer],
-        ]
-    )
-    return DensityMatrix(rho)
+    for k, (outer, middle, e) in enumerate([(corner, inner, -edge), (inner, corner, edge)]):
+        rho[..., k, ::3, ::3] = np.expand_dims(outer, (-2, -1))
+        rho[..., k, 1:3, 1:3] = np.expand_dims(middle, (-2, -1))
+        rho[..., k, ::3, 1:3] = np.expand_dims(e, (-2, -1))
+        rho[..., k, 1:3, ::3] = np.expand_dims(e.conjugate(), (-2, -1))
+    return rho

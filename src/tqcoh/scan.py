@@ -3,8 +3,8 @@
 Operating points come from the closed-form maximisers of
 :func:`coherence_extrema`; no numerical search is involved.
 
-This module only orchestrates: each phase and its overflow check, the
-spectral synthesis and the l1 sum belong to the routes it calls.
+This module holds no formula: each closed form, the spectral synthesis
+and the l1 sum is one kernel of the routes it calls, for scalars or stacks.
 
 Everything here is deterministic: the same inputs (including the seed of
 :func:`cross_validate`) reproduce bit-identical series, grids and
@@ -15,8 +15,8 @@ irrelevant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,19 +27,21 @@ from .coherence import (
     off_diagonal_l1,
 )
 from .evolution import (
+    _LABELS,
     BellLabel,
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
+    _assemble_propagator,
     _check_spectral_phase,
+    _closed_form_rho,
     _projector,
+    _propagator_elements,
     _spectral_synthesis,
-    analytic_propagator,
     bell_state,
-    closed_form_density,
     spectral_rows,
 )
-from .linalg import EigenSystem, hermitian_eigensystem
+from .linalg import hermitian_eigensystem
 from .model import (
     CircuitParams,
     InputError,
@@ -78,8 +80,6 @@ _BLOCK_ROWS = 2048
 _BLOCK_DRAWS = 256
 
 _CHECK_NAMES = ("propagator", "density", "coherence", "unitarity")
-# A tuple: iterating the enum class takes about 2 us a loop, twice per draw.
-_LABELS = tuple(BellLabel)
 _STATIONARY = np.array([label.stationary for label in _LABELS])
 _BELL_INPUTS = [bell_state(label).amplitudes for label in _LABELS]
 
@@ -88,12 +88,22 @@ _BELL_INPUTS = [bell_state(label).amplitudes for label in _LABELS]
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
-def _check_span(start: float, end: float, steps: int, what: str) -> None:
+def _count(value, what: str) -> int:
+    """``value`` as a Python int; InputError naming it unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _check_span(start: float, end: float, steps: int, what: str) -> int:
     """Raise InputError unless ``steps`` points on [start, end] make a usable axis.
 
-    A finite span (which keeps linspace finite), end above start, and 2 to
-    ``_MAX_FLOATS`` steps. ``what`` names the axis in the message.
+    A finite span (which keeps linspace finite), end above start, and an
+    integer 2 to ``_MAX_FLOATS`` steps, returned as a Python int. ``what``
+    names the axis in the message.
     """
+    steps = _count(steps, f"the steps of {what}")
     span = f"[{start!r}, {end!r}]"
     if not math.isfinite(end - start):
         raise InputError(f"{what} needs a finite span, got {span}")
@@ -103,6 +113,7 @@ def _check_span(start: float, end: float, steps: int, what: str) -> None:
         raise InputError(f"{what} needs at least 2 steps, got {steps!r}")
     if steps > _MAX_FLOATS:
         raise InputError(f"{what} of {steps!r} steps is too large to allocate")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        _check_span(float(self.t_start), float(self.t_end), self.steps, "a time grid")
+        steps = _check_span(float(self.t_start), float(self.t_end), self.steps, "a time grid")
+        object.__setattr__(self, "steps", steps)
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.steps)
@@ -209,8 +221,8 @@ def grid_scan(
     """
     if vary not in ("e_j", "e_m"):
         raise InputError(f"cannot vary {vary!r}; pick 'e_j' or 'e_m'")
-    lo, hi, steps = float(value_range[0]), float(value_range[1]), value_range[2]
-    _check_span(lo, hi, steps, "a parameter range")
+    lo, hi = float(value_range[0]), float(value_range[1])
+    steps = _check_span(lo, hi, value_range[2], "a parameter range")
     if steps * grid.steps > _MAX_FLOATS:
         raise InputError(f"a {steps!r} x {grid.steps!r} grid is too large to allocate")
 
@@ -346,13 +358,16 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
       propagated density matrix;
     * "unitarity": max |U+U - I| over both propagator routes.
 
-    Each draw runs its closed forms and its own eigensolve in draw order
-    (:func:`_route_draw`); the arithmetic between them runs on stacks, one
-    block of up to ``_BLOCK_DRAWS`` draws at a time
-    (:func:`_block_deviations`), with the same floating-point results as
-    one draw at a time. Each check records the latest of its worst draws.
-    The report passes iff every recorded maximum is at most ``THRESHOLD``.
+    Each draw runs, in draw order, only the draw, the closed-form phase
+    check, its eigensolve and the spectral phase check. Both routes then
+    run on stacks, one block of up to ``_BLOCK_DRAWS`` draws at a time
+    (:func:`_block_deviations`), through the scalar API's own kernels and
+    with its floating-point results. Each check records the latest of its
+    worst draws. The report passes iff every recorded maximum is at most
+    ``THRESHOLD``.
     """
+    draws = _count(draws, "cross-validation draws")
+    seed = _count(seed, "a cross-validation seed")
     if draws < 1:
         raise InputError(f"cross-validation needs at least 1 draw, got {draws!r}")
     if seed < 0:
@@ -362,11 +377,22 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     worst: dict[str, tuple[float, int, CircuitParams, float]] = {}
 
     for lo in range(0, draws, _BLOCK_DRAWS):
-        block = [_route_draw(rng) for _ in range(min(_BLOCK_DRAWS, draws - lo))]
-        for name, devs in zip(_CHECK_NAMES, _block_deviations(block)):
+        points, coefficients, eigs = [], [], []
+        for _ in range(min(_BLOCK_DRAWS, draws - lo)):
+            params, t = _draw_parameters(rng)
+            root, jr, mr = scaled_energies(params)
+            check_phase(params, t, root)
+            eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
+            _check_spectral_phase(eig, params, t)
+            points.append((params, t))
+            # jr and mr squared in Python, as closed_form_coherence squares them.
+            coefficients.append((t, params.hbar, root, jr, mr, params.hbar * params.e_m,
+                                 jr**2, mr**2))
+            eigs.append(eig)
+        for name, devs in zip(_CHECK_NAMES, _block_deviations(np.array(coefficients).T, eigs)):
             i = len(devs) - 1 - int(np.argmax(devs[::-1]))  # the block's latest worst
             if devs[i] >= worst.get(name, (0.0,))[0]:
-                worst[name] = (float(devs[i]), lo + i, block[i].params, block[i].t)
+                worst[name] = (float(devs[i]), lo + i, *points[i])
 
     checks = tuple(CheckResult(name, *worst[name]) for name in _CHECK_NAMES)
     passed = all(c.max_deviation <= THRESHOLD for c in checks)
@@ -381,49 +407,22 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     )
 
 
-class _Draw(NamedTuple):
-    """What one :func:`cross_validate` draw computes on its own."""
-
-    params: CircuitParams
-    t: float
-    u_closed: UnitaryMatrix
-    eig: EigenSystem
-    rho_closed: list  # one 4 x 4 matrix per BellLabel
-    ratios: tuple[float, float, float]  # root, (e_j / root)^2, (hbar e_m / root)^2
-
-
-def _route_draw(rng: np.random.Generator) -> _Draw:
-    """One draw and the steps it runs on its own, in order.
-
-    The closed-form U, the eigensolve and its phase check, and the four
-    closed-form densities.
-    """
-    params, t = _draw_parameters(rng)
-    u_closed = analytic_propagator(params, t)
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-    _check_spectral_phase(eig, params, t)
-    rho_closed = [closed_form_density(label, params, t).matrix for label in _LABELS]
-    root, jr, mr = scaled_energies(params)
-    return _Draw(params, t, u_closed, eig, rho_closed, (root, jr**2, mr**2))
-
-
-def _block_deviations(block: list[_Draw]) -> tuple[np.ndarray, ...]:
+def _block_deviations(coefficients: np.ndarray, eigs: list) -> tuple[np.ndarray, ...]:
     """Each draw's deviation for each of ``_CHECK_NAMES``, one array per check.
 
-    The spectral U, the four evolved Bell states, their densities, both
-    coherences and the deviations are computed on N x ... stacks. Each
-    draw still makes the certificates a draw-by-draw chain of
-    ``numeric_propagator``, ``evolve`` and ``density_matrix`` would: its
-    spectral U, and per label the input state, the evolved state and its
-    density. With the two of :func:`_route_draw` that makes the 18 per
-    draw that ``perfbench/test_selftest.py`` pins; the input states are
-    constants, so their certificates only keep that count.
+    ``coefficients`` has one column per draw: t, hbar, root, e_j / root,
+    hbar e_m / root, hbar e_m and the squares of the two ratios. Both
+    routes, the evolved Bell states, the densities, the coherences and the
+    deviations are computed on N x ... stacks. Each draw still makes the
+    certificates of the draw-by-draw chain of the scalar API: both U, and
+    per label the input state, the evolved state and both densities; the
+    18 per draw that ``perfbench/test_selftest.py`` pins. The input states
+    are constants, so their certificates only keep that count.
     """
-    t = np.array([d.t for d in block])
-    hbar = np.array([d.params.hbar for d in block])
-    values = np.array([d.eig.eigenvalues for d in block])
+    t, hbar, root, jr, mr, slow, jr2, mr2 = coefficients
+    values = np.array([eig.eigenvalues for eig in eigs])
     # Each V^T C-contiguous and each V its transpose, as the eigensolver gives them.
-    vectors = np.array([d.eig.eigenvectors.T for d in block]).swapaxes(1, 2)
+    vectors = np.array([eig.eigenvectors.T for eig in eigs]).swapaxes(1, 2)
     synthesis = _spectral_synthesis(
         values[:, np.newaxis, :], vectors, t[:, np.newaxis, np.newaxis],
         hbar[:, np.newaxis, np.newaxis], vectors,
@@ -433,23 +432,23 @@ def _block_deviations(block: list[_Draw]) -> tuple[np.ndarray, ...]:
     u_spectral = synthesis.swapaxes(1, 2)
     psi = np.stack([u_spectral @ b for b in _BELL_INPUTS], axis=1)  # draw, label, entry
     rho = _projector(psi)
-    root, jr2, mr2 = np.array([d.ratios for d in block]).T
+    u_closed = _assemble_propagator(*_propagator_elements(root, jr, mr, slow, t))
+    rho_closed = _closed_form_rho(jr, mr, 0.25 * t * root)
     oscillating = _oscillating_coherence(root, jr2, mr2, t)
     c_closed = np.where(_STATIONARY, 1.0, oscillating[:, np.newaxis])  # draw, label
 
-    unitarity = np.empty(len(block))
-    for i, (d, u, states, rhos) in enumerate(zip(block, u_spectral, psi, rho)):
-        unitarity[i] = max(d.u_closed.defect, UnitaryMatrix(u).defect)
-        for amplitudes, state, r in zip(_BELL_INPUTS, states, rhos):
+    unitarity = []
+    for u, v, states, rhos, closed_rhos in zip(u_closed, u_spectral, psi, rho, rho_closed):
+        unitarity.append(max(UnitaryMatrix(u).defect, UnitaryMatrix(v).defect))
+        for amplitudes, state, r, r_closed in zip(_BELL_INPUTS, states, rhos, closed_rhos):
             StateVector(amplitudes)  # the input state, as bell_state certifies it
             StateVector(state)
             DensityMatrix(r)
+            DensityMatrix(r_closed)
 
-    u_closed = np.array([d.u_closed.matrix for d in block])
-    rho_closed = np.array([d.rho_closed for d in block])
     return (
         np.abs(u_closed - u_spectral).max(axis=(1, 2)),
         np.abs(rho_closed - rho).max(axis=(1, 2, 3)),
         np.abs(c_closed - off_diagonal_l1(rho)).max(axis=1),
-        unitarity,
+        np.array(unitarity),
     )

@@ -30,7 +30,7 @@ from tqcoh.evolution import (
     evolve,
 )
 from tqcoh.linalg import hermitian_eigensystem
-from tqcoh.model import CircuitParams, build_hamiltonian_tensor
+from tqcoh.model import CircuitParams, build_hamiltonian_tensor, scaled_energies
 from tqcoh.scan import (
     TimeGrid,
     _draw_parameters,
@@ -126,7 +126,8 @@ def test_criterion_04_stationary_states():
     times = np.linspace(0.0, 10.0, 1001)
     worst = 0.0
     for params in points:
-        elements = _propagator_elements(params, times)
+        slow = params.hbar * params.e_m
+        elements = _propagator_elements(*scaled_energies(params), slow, times)
         u = _assemble_propagator(*elements)  # (1001, 4, 4)
         for label in (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS):
             closed = closed_form_coherence(label, params, times)

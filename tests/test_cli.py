@@ -506,11 +506,11 @@ def test_verify_rejects_zero_samples(capsys):
 
 
 def test_verify_fails_with_corrupted_build(capsys, monkeypatch):
-    true_analytic = scan_module.analytic_propagator
+    true_elements = scan_module._propagator_elements
     monkeypatch.setattr(
         scan_module,
-        "analytic_propagator",
-        lambda p, t: true_analytic(p, t * 1.001),
+        "_propagator_elements",
+        lambda root, jr, mr, slow, t: true_elements(root, jr, mr, slow, t * 1.001),
     )
     code, out, _ = run_cli(["verify", "--samples", "10", "--seed", "3"], capsys)
     assert code == EXIT_INVARIANT

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import CANONICAL_PARAMS, circuit_params, eigenstate_check, times
-from tqcoh.coherence import closed_form_coherence, validate_density
+from tqcoh.coherence import _oscillating_coherence, closed_form_coherence, validate_density
 from tqcoh.evolution import (
     BellLabel,
     DensityMatrix,
     DensityMatrixError,
     StateVector,
     UnitaryMatrix,
+    _assemble_propagator,
+    _closed_form_rho,
     _propagator_elements,
     analytic_propagator,
     bell_state,
@@ -22,7 +24,7 @@ from tqcoh.evolution import (
     spectral_rows,
 )
 from tqcoh.linalg import hermitian_eigensystem
-from tqcoh.model import CircuitParams, build_hamiltonian_tensor
+from tqcoh.model import CircuitParams, build_hamiltonian_tensor, scaled_energies
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -156,12 +158,19 @@ def _in_box_and_extreme_points():
 
 def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
     # A scalar t runs the same kernel as an array of one time.
-    for params, t in _in_box_and_extreme_points():
+    points = _in_box_and_extreme_points()
+    for params, t in points:
+        root, jr, mr = scaled_energies(params)
+        slow = params.hbar * params.e_m
         t_array = np.array([t])
         for scalar, batched in zip(
-            _propagator_elements(params, t), _propagator_elements(params, t_array)
+            _propagator_elements(root, jr, mr, slow, t),
+            _propagator_elements(root, jr, mr, slow, t_array),
         ):
             assert np.asarray(scalar).tobytes() == batched.tobytes(), (params, t)
+        rho = _closed_form_rho(jr, mr, 0.25 * t * root)
+        assert rho.shape == (4, 4, 4)
+        assert rho.tobytes() == _closed_form_rho(jr, mr, 0.25 * t_array * root)[0].tobytes()
 
         eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
         coeffs = eig.eigenvectors.T @ bell_state(BellLabel.PHI_PLUS).amplitudes
@@ -175,6 +184,24 @@ def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
             assert type(value) is float
             batched = closed_form_coherence(label, params, t_array)
             assert np.array([value]).tobytes() == batched.tobytes(), (params, t, label)
+
+    # Coefficient stacks with one entry per point, as cross_validate passes
+    # them for a block of draws, give each point's scalar bytes.
+    columns = []
+    for params, t in points:
+        root, jr, mr = scaled_energies(params)
+        columns.append((t, root, jr, mr, params.hbar * params.e_m, jr**2, mr**2))
+    t, root, jr, mr, slow, jr2, mr2 = np.array(columns).T
+    u = _assemble_propagator(*_propagator_elements(root, jr, mr, slow, t))
+    rho = _closed_form_rho(jr, mr, 0.25 * t * root)
+    c = _oscillating_coherence(root, jr2, mr2, t)
+    assert u.shape == (len(points), 4, 4) and rho.shape == (len(points), 4, 4, 4)
+    for i, (params, t_i) in enumerate(points):
+        assert analytic_propagator(params, t_i).matrix.tobytes() == u[i].tobytes(), i
+        for label, r in zip(BellLabel, rho[i]):
+            assert closed_form_density(label, params, t_i).matrix.tobytes() == r.tobytes(), i
+        value = closed_form_coherence(BellLabel.PHI_PLUS, params, t_i)
+        assert np.array(value).tobytes() == c[i].tobytes(), i
 
 
 # ----------------------------------------------------------- certificates

@@ -4,9 +4,12 @@ The Hamiltonian is written from the paper's entries, diagonalised in
 mpmath, and U(t) = V exp(-i Lambda t / hbar) V+ is formed from that
 decomposition; rho(t) and C(t) follow for each Bell state. Every
 library route must then be near the truth, not just near the other
-route: within ``scan.THRESHOLD`` and within 8 B0, the rounding-error
-scale B0 = eps (1 + ||H|| t / hbar + t root).
+route: within ``scan.THRESHOLD`` and within K B0, the rounding-error
+scale B0 = eps (1 + ||H|| t / hbar + t root). K is 8 on the validated
+box, and per route on the reduced family that stands for every input.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -23,7 +26,17 @@ from tqcoh.model import CircuitParams, scaled_energies
 from tqcoh.scan import THRESHOLD, TimeGrid, _draw_parameters, find_operating_point, time_series
 
 DRAWS = 100
+REDUCED_DRAWS = 120
 EPS = np.finfo(float).eps
+# Each route's K on the reduced family: the worst of 3000 seeded draws in
+# units of B0 (0.49, 11.5, 0.49, 0.95 and 11.2 in this order), with headroom.
+_REDUCED_K = {
+    "analytic_propagator": 1.0,
+    "numeric_propagator": 16.0,
+    "closed_form_density": 1.0,
+    "closed_form_coherence": 2.0,
+    "time_series": 16.0,
+}
 
 # The Bell states as sign vectors; each state is the vector over sqrt(2).
 _SIGNS = {
@@ -154,3 +167,36 @@ def test_each_maximum_is_within_its_rounding_bound_of_the_oracle(route, draws):
             error = abs(value - truth[at][1][label][1])
             assert error <= THRESHOLD, (label, params, at, error)
             assert error <= 8.0 * rounding_scale(params, at), (label, params, at, error)
+
+
+def reduced_draw(rng: np.random.Generator) -> tuple[CircuitParams, float]:
+    """One (params, t) of the reduced family, which stands for every finite input.
+
+    The power-of-two map of ``test_scaling.py`` takes any input to hbar and
+    root in [1, 2) with bit-identical outputs. What is left is the angle
+    atan2(hbar e_m, 4 e_j), with the signs, and the phase t root, drawn
+    log-uniform on [1e-2, 1e6].
+    """
+    angle = rng.uniform(-math.pi, math.pi)
+    hbar, root = rng.uniform(1.0, 2.0, 2)
+    t = 10.0 ** rng.uniform(-2.0, 6.0) / root
+    return CircuitParams(0.25 * root * math.cos(angle), root * math.sin(angle) / hbar, hbar), t
+
+
+@pytest.fixture(scope="module")
+def reduced_draws():
+    """(params, t, truth at t) of ``REDUCED_DRAWS`` seeded reduced-family draws."""
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(REDUCED_DRAWS):
+        params, t = reduced_draw(rng)
+        out.append((params, t, oracle(params, [t])[t]))
+    return out
+
+
+@pytest.mark.parametrize("route", list(_REDUCED_K))
+def test_each_route_is_within_its_k_on_the_reduced_family(route, reduced_draws):
+    for params, t, truth in reduced_draws:
+        error = float(max(route_errors(route, params, t, *truth)))
+        assert error <= THRESHOLD, (params, t, error)
+        assert error <= _REDUCED_K[route] * rounding_scale(params, t), (params, t, error)

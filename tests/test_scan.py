@@ -214,6 +214,7 @@ def test_grid_too_large_to_size_is_rejected_before_any_axis(monkeypatch):
         (lambda: TimeGrid(0.0, 0.0, 3), "[0.0, 0.0]"),
         (lambda: TimeGrid(0.0, 1.0, 1), "got 1"),
         (lambda: TimeGrid(0.0, 1.0, 2**60), "1152921504606846976 steps"),
+        (lambda: TimeGrid(0.0, 1.0, 2.5), "must be an integer, got 2.5"),
         (lambda: _scan((0.0, 1.0, 3), vary="hbar"), "'hbar'"),
         # Non-finite ends: np.linspace warns before a later check.
         (lambda: _scan((0.0, math.inf, 3)), "[0.0, inf]"),
@@ -222,6 +223,7 @@ def test_grid_too_large_to_size_is_rejected_before_any_axis(monkeypatch):
         (lambda: _scan((-1e308, 1e308, 3)), "[-1e+308, 1e+308]"),
         (lambda: _scan((1.0, 1.0, 3)), "[1.0, 1.0]"),
         (lambda: _scan((0.0, 1.0, 1)), "got 1"),
+        (lambda: _scan((0.0, 1.0, 2.5)), "must be an integer, got 2.5"),
         (lambda: find_operating_point(*_CANONICAL, (0.0, math.inf), "maximize"),
          "[0.0, inf]"),
         (lambda: find_operating_point(*_CANONICAL, (5.0, 5.0), "maximize"),
@@ -230,11 +232,14 @@ def test_grid_too_large_to_size_is_rejected_before_any_axis(monkeypatch):
          "'minimize'"),
         (lambda: cross_validate(0, 1), "got 0"),
         (lambda: cross_validate(1, -1), "seed, got -1"),
+        (lambda: cross_validate(2.5, 1), "draws must be an integer, got 2.5"),
+        (lambda: cross_validate(3, 1.5), "seed must be an integer, got 1.5"),
     ],
     ids=["params-finite", "params-hbar", "params-overflow", "grid-finite", "grid-span",
-         "grid-empty", "grid-steps", "grid-size", "scan-vary", "scan-inf-hi", "scan-inf-lo",
-         "scan-nan-lo", "scan-span", "scan-range", "scan-steps", "window-finite", "window-empty",
-         "objective", "draws", "seed"],
+         "grid-empty", "grid-steps", "grid-size", "grid-fraction", "scan-vary", "scan-inf-hi",
+         "scan-inf-lo", "scan-nan-lo", "scan-span", "scan-range", "scan-steps",
+         "scan-fraction", "window-finite", "window-empty", "objective", "draws", "seed",
+         "draws-fraction", "seed-fraction"],
 )
 def test_input_checks_raise_input_error_naming_the_value(call, value):
     with pytest.raises(InputError) as err:
@@ -434,6 +439,13 @@ def test_cross_validate_rejects_bad_draws():
         cross_validate(0, 1)
 
 
+def test_counts_accept_numpy_integers():
+    grid = TimeGrid(0.0, 1.0, np.int64(3))
+    assert type(grid.steps) is int and len(grid.times()) == 3
+    assert _scan((0.0, 1.0, np.int32(2))).values.shape == (2, 3)
+    assert cross_validate(np.int64(2), np.uint8(1)) == cross_validate(2, 1)
+
+
 def test_cross_validate_passes_moderate_sweep():
     report = cross_validate(200, 42)
     assert report.passed
@@ -442,13 +454,13 @@ def test_cross_validate_passes_moderate_sweep():
 
 
 def test_cross_validate_flags_corrupted_propagator(monkeypatch):
-    true_analytic = scan_module.analytic_propagator
+    true_elements = scan_module._propagator_elements
 
-    def corrupted(params, t):
+    def corrupted(root, jr, mr, slow, t):
         # Perfectly unitary, but evaluated at the wrong time.
-        return true_analytic(params, t * 1.001)
+        return true_elements(root, jr, mr, slow, t * 1.001)
 
-    monkeypatch.setattr(scan_module, "analytic_propagator", corrupted)
+    monkeypatch.setattr(scan_module, "_propagator_elements", corrupted)
     report = cross_validate(20, 42)
     assert not report.passed
     assert report.worst_check == "propagator"
@@ -459,12 +471,12 @@ def test_cross_validate_flags_corrupted_propagator(monkeypatch):
 
 
 def test_cross_validate_flags_corrupted_density(monkeypatch):
-    true_closed = scan_module.closed_form_density
+    true_rho = scan_module._closed_form_rho
 
-    def corrupted(label, params, t):
-        return true_closed(label, params, t * 1.001)
+    def corrupted(jr, mr, phase):
+        return true_rho(jr, mr, phase * 1.001)
 
-    monkeypatch.setattr(scan_module, "closed_form_density", corrupted)
+    monkeypatch.setattr(scan_module, "_closed_form_rho", corrupted)
     report = cross_validate(20, 42)
     assert not report.passed
     assert report.worst_check == "density"
