@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import BellLabel, DensityMatrix, DensityMatrixError
+from .evolution import BellLabel, DensityMatrix, DensityMatrixError, _closed_form_terms
 from .linalg import hermitian_eigensystem
-from .model import CircuitParams, check_phase, scaled_energies
+from .model import CircuitParams, scaled_energies
 
 __all__ = [
     "CoherenceExtrema",
@@ -101,24 +101,20 @@ def closed_form_coherence(label: BellLabel, params: CircuitParams, t):
     if label.stationary:
         return 1.0 if scalar else np.ones_like(t)
 
-    root, jr, mr = scaled_energies(params)
-    check_phase(params, t, root)
-    out = _oscillating_coherence(root, jr**2, mr**2, t)
+    out = _oscillating_coherence(_closed_form_terms(params, t), t)
     return float(out) if scalar else out
 
 
-def _oscillating_coherence(root, jr2, mr2, t):
+def _oscillating_coherence(terms, t):
     """C(t) of |phi+> and |psi+>, divided through by root^2 = 16 e_j^2 + hbar^2 e_m^2.
 
-    The one copy of the formula: :func:`closed_form_coherence` passes one
-    parameter set, and ``scan.cross_validate`` arrays of them for a block
-    of draws. ``jr2`` and ``mr2`` are (e_j / root)^2 and (hbar e_m / root)^2,
-    squared by the caller in Python. numpy squares an array by
-    multiplication but a float64 scalar through libm ``pow``; the two
-    differ in the last bit for some inputs, so the sine is squared by
-    multiplication here, the same for a scalar t and an array. Phases are
-    not checked here.
+    The one copy of the formula: :func:`closed_form_coherence` passes the
+    terms of one parameter set (:func:`tqcoh.evolution._closed_form_terms`),
+    and ``scan.cross_validate`` arrays of them for a block of draws. The
+    ratios come squared in Python; the sine is squared by multiplication,
+    the same for a scalar t and an array. Phases are not checked here.
     """
+    root, _, _, _, jr2, mr2 = terms
     sf = np.sin(0.25 * t * root)
     radicand = jr2 * (sf * sf) * (8.0 * jr2 * (np.cos(0.5 * t * root) + 1.0) + mr2)
     return 1.0 + 16.0 * np.sqrt(radicand)

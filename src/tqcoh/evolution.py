@@ -6,13 +6,13 @@ independent routes:
 * :func:`analytic_propagator` evaluates the closed-form matrix elements
   term by term as derived, so a transcription error in the formulas
   would surface as a cross-validation failure instead of being silently
-  patched. Like every closed form here, it divides through by root with
-  :func:`tqcoh.model.scaled_energies`, so it stays finite at huge
-  energies and gives the identity at e_j = e_m = 0 without a special case;
+  patched. Like every closed form here, it divides through by root in
+  :func:`_closed_form_terms`, so it stays finite at huge energies and
+  gives the identity at e_j = e_m = 0 without a special case;
 * :func:`numeric_propagator` synthesises U(t) from the spectral
-  decomposition, U = sum_j exp(-i lambda_j t / hbar) |v_j><v_j|, with the
-  spectral kernel :func:`spectral_rows`. Each route checks its phase
-  with :func:`tqcoh.model.check_phase` before numpy forms it.
+  decomposition, U = sum_j exp(-i lambda_j t / hbar) |v_j><v_j|, with
+  :func:`_spectral_synthesis`. Each route checks its phase before numpy
+  forms it, in :func:`_closed_form_terms` or :func:`_check_spectral_phase`.
 
 On top of these sit the four Bell states, their propagated density
 matrices, and the closed-form density trajectories for each Bell input.
@@ -176,15 +176,28 @@ def bell_state(label: BellLabel) -> StateVector:
     return StateVector(_BELL_AMPLITUDES[label])
 
 
-def _propagator_elements(root, jr, mr, slow, t):
-    """The five distinct closed-form propagator elements.
+def _closed_form_terms(params: CircuitParams, t) -> tuple[float, ...]:
+    """(root, e_j / root, hbar e_m / root, hbar e_m, (e_j / root)^2, (hbar e_m / root)^2).
 
-    Returns (u11, u12, u14, u22, u23) where u11 also fills position (4,4),
-    u12 fills the eight equal off-block positions, u14 fills (4,1), u22
-    fills (3,3) and u23 fills (3,2). ``root, jr, mr`` are scaled_energies
-    and ``slow`` is hbar e_m; they and ``t`` may be scalars or arrays, and
-    the elements broadcast accordingly. Phases are not checked here.
+    The terms of every closed form, once the phase t root is checked
+    (ValueError where it overflows). The squares are Python ``**``, which
+    is libm ``pow`` where numpy would multiply, so a scalar t and a
+    ``scan.cross_validate`` block see the same bits.
     """
+    root, jr, mr = scaled_energies(params)
+    check_phase(params, t, root)
+    return root, jr, mr, params.hbar * params.e_m, jr**2, mr**2
+
+
+def _closed_form_u(terms, t) -> np.ndarray:
+    """Closed-form U(t) in the last two axes, from :func:`_closed_form_terms`.
+
+    The one copy of the formula, for one parameter set or a block of
+    ``scan.cross_validate`` draws; the terms and ``t`` broadcast. Five
+    entries are distinct, and ``rows`` places them. Phases are not
+    checked here.
+    """
+    root, jr, mr, slow, _, _ = terms
     sf = np.sin(0.25 * t * root)
     cf = np.cos(0.25 * t * root)
     ss = np.sin(0.25 * t * slow)
@@ -195,11 +208,6 @@ def _propagator_elements(root, jr, mr, slow, t):
     u14 = -0.5j * mr * sf + 0.5 * cf + 0.5j * ss - 0.5 * cs
     u22 = +0.5j * mr * sf + 0.5 * cf + 0.5j * ss + 0.5 * cs
     u23 = +0.5j * mr * sf + 0.5 * cf - 0.5j * ss - 0.5 * cs
-    return u11, u12, u14, u22, u23
-
-
-def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
-    """Place the five distinct elements in the last two axes."""
     rows = [
         [u11, u12, u12, u14],
         [u12, u22, u23, u12],
@@ -212,22 +220,7 @@ def _assemble_propagator(u11, u12, u14, u22, u23) -> np.ndarray:
 def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     """Closed-form U(t). Its slow phase t hbar e_m / 4 is at most the fast t root / 4."""
     t = float(t)
-    root, jr, mr = scaled_energies(params)
-    check_phase(params, t, root)
-    elements = _propagator_elements(root, jr, mr, params.hbar * params.e_m, t)
-    return UnitaryMatrix(_assemble_propagator(*elements))
-
-
-def spectral_rows(eig: EigenSystem, params: CircuitParams, t, coeffs) -> np.ndarray:
-    """(exp(-i lambda t / hbar) * coeffs) @ V^T for scalar or array t.
-
-    With ``coeffs`` = V^T psi0 the rows are psi(t); with ``coeffs`` = V
-    (real) and scalar t the result is U(t)^T. The phase is checked by
-    :func:`_check_spectral_phase` first.
-    """
-    _check_spectral_phase(eig, params, t)
-    t = t[..., np.newaxis] if isinstance(t, np.ndarray) else t
-    return _spectral_synthesis(eig.eigenvalues, eig.eigenvectors, t, params.hbar, coeffs)
+    return UnitaryMatrix(_closed_form_u(_closed_form_terms(params, t), t))
 
 
 def _check_spectral_phase(eig: EigenSystem, params: CircuitParams, t) -> None:
@@ -242,10 +235,11 @@ def _check_spectral_phase(eig: EigenSystem, params: CircuitParams, t) -> None:
 def _spectral_synthesis(values, vectors, t, hbar, coeffs) -> np.ndarray:
     """(exp(-i values t / hbar) * coeffs) @ vectors^T, broadcast over leading axes.
 
-    The one copy of the spectral formula: :func:`spectral_rows` passes one
-    eigensystem, and ``scan.cross_validate`` a stack of them (N x 1 x 4
-    values, N x 4 x 4 vectors, t and hbar as N x 1 x 1) for a block of
-    draws. Phases are not checked here.
+    The one copy of the spectral formula, for one eigensystem or a stack
+    of them (N x 1 x 4 values, N x 4 x 4 vectors, t and hbar as N x 1 x 1
+    for a block of ``scan.cross_validate`` draws). With ``coeffs`` = V^T
+    psi0 the rows are psi(t); with ``coeffs`` = V the result is U(t)^T.
+    Phases are not checked here: :func:`_check_spectral_phase` runs first.
     """
     return (np.exp(-1j * t * values / hbar) * coeffs) @ vectors.swapaxes(-1, -2)
 
@@ -258,9 +252,11 @@ def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     Hamiltonian parameters, so agreement between the two is a genuine
     cross-validation of the closed forms.
     """
+    t = float(t)
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-    matrix = spectral_rows(eig, params, float(t), eig.eigenvectors).T
-    return UnitaryMatrix(matrix)
+    _check_spectral_phase(eig, params, t)
+    vectors = eig.eigenvectors
+    return UnitaryMatrix(_spectral_synthesis(eig.eigenvalues, vectors, t, params.hbar, vectors).T)
 
 
 def evolve(state: StateVector, u: UnitaryMatrix) -> StateVector:
@@ -288,22 +284,21 @@ def _projector(psi) -> np.ndarray:
 
 def closed_form_density(label: BellLabel, params: CircuitParams, t: float) -> DensityMatrix:
     """The closed-form density matrix rho(t) for a Bell input; the phase is checked first."""
-    root, jr, mr = scaled_energies(params)
-    check_phase(params, t, root)
-    return DensityMatrix(_closed_form_rho(jr, mr, 0.25 * t * root)[_LABELS.index(label)])
+    return DensityMatrix(_closed_form_rho(_closed_form_terms(params, t), t)[_LABELS.index(label)])
 
 
-def _closed_form_rho(jr, mr, phase) -> np.ndarray:
+def _closed_form_rho(terms, t) -> np.ndarray:
     """rho(t) of the four Bell inputs in BellLabel order, as a ... x 4 x 4 x 4 stack.
 
     The one copy of the formula, for one parameter set or a block of
-    ``scan.cross_validate`` draws. ``jr`` and ``mr`` are e_j / root and
-    hbar e_m / root, ``phase`` is t root / 4; they broadcast. |phi-> and
-    |psi-> only pick up a global phase, so theirs is the constant s s^T / 2
-    of their sign vector s. The entries of |phi+> and |psi+> are the
-    derived trigonometric expressions, squared by products; at e_j = e_m = 0
-    they give rho(0). Phases are not checked here.
+    ``scan.cross_validate`` draws; the terms of :func:`_closed_form_terms`
+    and ``t`` broadcast. |phi-> and |psi-> only pick up a global phase, so
+    theirs is the constant s s^T / 2 of their sign vector s. The entries of
+    |phi+> and |psi+> are the derived trigonometric expressions, squared by
+    products; at e_j = e_m = 0 they give rho(0). Phases are not checked here.
     """
+    root, jr, mr, _, _, _ = terms
+    phase = 0.25 * t * root
     sf, cf = np.sin(phase), np.cos(phase)
     s2 = sf * sf
     corner = mr * mr * s2 / 2.0 + 0.5 * (cf * cf)

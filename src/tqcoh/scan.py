@@ -32,23 +32,16 @@ from .evolution import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
-    _assemble_propagator,
     _check_spectral_phase,
     _closed_form_rho,
+    _closed_form_terms,
+    _closed_form_u,
     _projector,
-    _propagator_elements,
     _spectral_synthesis,
     bell_state,
-    spectral_rows,
 )
 from .linalg import hermitian_eigensystem
-from .model import (
-    CircuitParams,
-    InputError,
-    build_hamiltonian_tensor,
-    check_phase,
-    scaled_energies,
-)
+from .model import CircuitParams, InputError, build_hamiltonian_tensor
 
 __all__ = [
     "CoherenceSeries",
@@ -180,8 +173,8 @@ def time_series(
     The ``closed_form`` column evaluates the analytic expression. The
     ``numeric`` column applies the spectral propagator to the Bell state,
     psi(t) = V (exp(-i lambda t / hbar) * V^T psi0), from one Jacobi
-    eigendecomposition of the Hamiltonian (:func:`spectral_rows`), and
-    sums |psi_i psi_j*| over i != j (:func:`off_diagonal_l1`). It is
+    eigendecomposition of the Hamiltonian (:func:`_spectral_synthesis`),
+    and sums |psi_i psi_j*| over i != j (:func:`off_diagonal_l1`). It is
     computed in blocks of ``_BLOCK_ROWS`` rows, so beyond the returned
     columns memory stays O(block); no N x 4 x 4 propagator or density
     stack is formed. Raises ``ValueError`` naming the first time at which
@@ -191,11 +184,14 @@ def time_series(
     times = grid.times()
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
+    _check_spectral_phase(eig, params, times)
     coeffs = eig.eigenvectors.T @ bell_state(label).amplitudes
     numeric = np.empty_like(times)
     for lo in range(0, len(times), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        psi = spectral_rows(eig, params, times[block], coeffs)
+        psi = _spectral_synthesis(
+            eig.eigenvalues, eig.eigenvectors, times[block, np.newaxis], params.hbar, coeffs
+        )
         numeric[block] = off_diagonal_l1(_projector(psi))
 
     # |closed - numeric| is finite exactly when both columns are.
@@ -284,7 +280,7 @@ def find_operating_point(
 
     # A window edge whose phase overflows would overflow the copy index
     # below; reject it as the closed form would.
-    check_phase(params, np.array([lo, hi]), scaled_energies(params)[0])
+    _closed_form_terms(params, np.array([lo, hi]))
     ext = coherence_extrema(label, params)
     period = ext.period
     candidates = [lo, hi]
@@ -377,19 +373,16 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     worst: dict[str, tuple[float, int, CircuitParams, float]] = {}
 
     for lo in range(0, draws, _BLOCK_DRAWS):
-        points, coefficients, eigs = [], [], []
+        points, rows, eigs = [], [], []
         for _ in range(min(_BLOCK_DRAWS, draws - lo)):
             params, t = _draw_parameters(rng)
-            root, jr, mr = scaled_energies(params)
-            check_phase(params, t, root)
+            terms = _closed_form_terms(params, t)
             eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
             _check_spectral_phase(eig, params, t)
             points.append((params, t))
-            # jr and mr squared in Python, as closed_form_coherence squares them.
-            coefficients.append((t, params.hbar, root, jr, mr, params.hbar * params.e_m,
-                                 jr**2, mr**2))
+            rows.append((t, params.hbar, *terms))
             eigs.append(eig)
-        for name, devs in zip(_CHECK_NAMES, _block_deviations(np.array(coefficients).T, eigs)):
+        for name, devs in zip(_CHECK_NAMES, _block_deviations(np.array(rows).T, eigs)):
             i = len(devs) - 1 - int(np.argmax(devs[::-1]))  # the block's latest worst
             if devs[i] >= worst.get(name, (0.0,))[0]:
                 worst[name] = (float(devs[i]), lo + i, *points[i])
@@ -407,11 +400,11 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
     )
 
 
-def _block_deviations(coefficients: np.ndarray, eigs: list) -> tuple[np.ndarray, ...]:
+def _block_deviations(columns: np.ndarray, eigs: list) -> tuple[np.ndarray, ...]:
     """Each draw's deviation for each of ``_CHECK_NAMES``, one array per check.
 
-    ``coefficients`` has one column per draw: t, hbar, root, e_j / root,
-    hbar e_m / root, hbar e_m and the squares of the two ratios. Both
+    ``columns`` has one column per draw: t, hbar and the draw's
+    :func:`tqcoh.evolution._closed_form_terms`. Both
     routes, the evolved Bell states, the densities, the coherences and the
     deviations are computed on N x ... stacks. Each draw still makes the
     certificates of the draw-by-draw chain of the scalar API: both U, and
@@ -419,7 +412,7 @@ def _block_deviations(coefficients: np.ndarray, eigs: list) -> tuple[np.ndarray,
     18 per draw that ``perfbench/test_selftest.py`` pins. The input states
     are constants, so their certificates only keep that count.
     """
-    t, hbar, root, jr, mr, slow, jr2, mr2 = coefficients
+    t, hbar, *terms = columns
     values = np.array([eig.eigenvalues for eig in eigs])
     # Each V^T C-contiguous and each V its transpose, as the eigensolver gives them.
     vectors = np.array([eig.eigenvectors.T for eig in eigs]).swapaxes(1, 2)
@@ -432,9 +425,9 @@ def _block_deviations(coefficients: np.ndarray, eigs: list) -> tuple[np.ndarray,
     u_spectral = synthesis.swapaxes(1, 2)
     psi = np.stack([u_spectral @ b for b in _BELL_INPUTS], axis=1)  # draw, label, entry
     rho = _projector(psi)
-    u_closed = _assemble_propagator(*_propagator_elements(root, jr, mr, slow, t))
-    rho_closed = _closed_form_rho(jr, mr, 0.25 * t * root)
-    oscillating = _oscillating_coherence(root, jr2, mr2, t)
+    u_closed = _closed_form_u(terms, t)
+    rho_closed = _closed_form_rho(terms, t)
+    oscillating = _oscillating_coherence(terms, t)
     c_closed = np.where(_STATIONARY, 1.0, oscillating[:, np.newaxis])  # draw, label
 
     unitarity = []

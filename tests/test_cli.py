@@ -506,12 +506,8 @@ def test_verify_rejects_zero_samples(capsys):
 
 
 def test_verify_fails_with_corrupted_build(capsys, monkeypatch):
-    true_elements = scan_module._propagator_elements
-    monkeypatch.setattr(
-        scan_module,
-        "_propagator_elements",
-        lambda root, jr, mr, slow, t: true_elements(root, jr, mr, slow, t * 1.001),
-    )
+    true_u = scan_module._closed_form_u
+    monkeypatch.setattr(scan_module, "_closed_form_u", lambda terms, t: true_u(terms, t * 1.001))
     code, out, _ = run_cli(["verify", "--samples", "10", "--seed", "3"], capsys)
     assert code == EXIT_INVARIANT
     assert "FAIL" in out and "propagator" in out

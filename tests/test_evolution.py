@@ -12,19 +12,20 @@ from tqcoh.evolution import (
     DensityMatrixError,
     StateVector,
     UnitaryMatrix,
-    _assemble_propagator,
+    _check_spectral_phase,
     _closed_form_rho,
-    _propagator_elements,
+    _closed_form_terms,
+    _closed_form_u,
+    _spectral_synthesis,
     analytic_propagator,
     bell_state,
     closed_form_density,
     density_matrix,
     evolve,
     numeric_propagator,
-    spectral_rows,
 )
 from tqcoh.linalg import hermitian_eigensystem
-from tqcoh.model import CircuitParams, build_hamiltonian_tensor, scaled_energies
+from tqcoh.model import CircuitParams, build_hamiltonian_tensor
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -160,24 +161,28 @@ def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
     # A scalar t runs the same kernel as an array of one time.
     points = _in_box_and_extreme_points()
     for params, t in points:
-        root, jr, mr = scaled_energies(params)
-        slow = params.hbar * params.e_m
         t_array = np.array([t])
-        for scalar, batched in zip(
-            _propagator_elements(root, jr, mr, slow, t),
-            _propagator_elements(root, jr, mr, slow, t_array),
-        ):
-            assert np.asarray(scalar).tobytes() == batched.tobytes(), (params, t)
-        rho = _closed_form_rho(jr, mr, 0.25 * t * root)
+        terms = _closed_form_terms(params, t)
+        assert _closed_form_terms(params, t_array) == terms
+        u = _closed_form_u(terms, t)
+        assert u.shape == (4, 4)
+        assert u.tobytes() == _closed_form_u(terms, t_array)[0].tobytes(), (params, t)
+        rho = _closed_form_rho(terms, t)
         assert rho.shape == (4, 4, 4)
-        assert rho.tobytes() == _closed_form_rho(jr, mr, 0.25 * t_array * root)[0].tobytes()
+        assert rho.tobytes() == _closed_form_rho(terms, t_array)[0].tobytes()
 
         eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-        coeffs = eig.eigenvectors.T @ bell_state(BellLabel.PHI_PLUS).amplitudes
-        rows = spectral_rows(eig, params, t_array, coeffs)
-        assert spectral_rows(eig, params, t, coeffs).tobytes() == rows[0].tobytes()
-        u_t = spectral_rows(eig, params, t, eig.eigenvectors)
-        assert u_t.tobytes() == spectral_rows(eig, params, t_array, eig.eigenvectors).tobytes()
+        _check_spectral_phase(eig, params, t_array)
+        values, vectors = eig.eigenvalues, eig.eigenvectors
+        coeffs = vectors.T @ bell_state(BellLabel.PHI_PLUS).amplitudes
+        rows = _spectral_synthesis(values, vectors, t_array[:, np.newaxis], params.hbar, coeffs)
+        assert _spectral_synthesis(values, vectors, t, params.hbar, coeffs).tobytes() == (
+            rows[0].tobytes()
+        )
+        u_t = _spectral_synthesis(values, vectors, t, params.hbar, vectors)
+        assert u_t.tobytes() == _spectral_synthesis(
+            values, vectors, t_array[:, np.newaxis], params.hbar, vectors
+        ).tobytes()
 
         for label in BellLabel:
             value = closed_form_coherence(label, params, t)
@@ -185,16 +190,12 @@ def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
             batched = closed_form_coherence(label, params, t_array)
             assert np.array([value]).tobytes() == batched.tobytes(), (params, t, label)
 
-    # Coefficient stacks with one entry per point, as cross_validate passes
-    # them for a block of draws, give each point's scalar bytes.
-    columns = []
-    for params, t in points:
-        root, jr, mr = scaled_energies(params)
-        columns.append((t, root, jr, mr, params.hbar * params.e_m, jr**2, mr**2))
-    t, root, jr, mr, slow, jr2, mr2 = np.array(columns).T
-    u = _assemble_propagator(*_propagator_elements(root, jr, mr, slow, t))
-    rho = _closed_form_rho(jr, mr, 0.25 * t * root)
-    c = _oscillating_coherence(root, jr2, mr2, t)
+    # Term stacks with one entry per point, as cross_validate passes them
+    # for a block of draws, give each point's scalar bytes.
+    t, *terms = np.array([(t, *_closed_form_terms(params, t)) for params, t in points]).T
+    u = _closed_form_u(terms, t)
+    rho = _closed_form_rho(terms, t)
+    c = _oscillating_coherence(terms, t)
     assert u.shape == (len(points), 4, 4) and rho.shape == (len(points), 4, 4, 4)
     for i, (params, t_i) in enumerate(points):
         assert analytic_propagator(params, t_i).matrix.tobytes() == u[i].tobytes(), i

@@ -5,8 +5,11 @@ mpmath, and U(t) = V exp(-i Lambda t / hbar) V+ is formed from that
 decomposition; rho(t) and C(t) follow for each Bell state. Every
 library route must then be near the truth, not just near the other
 route: within ``scan.THRESHOLD`` and within K B0, the rounding-error
-scale B0 = eps (1 + ||H|| t / hbar + t root). K is 8 on the validated
-box, and per route on the reduced family that stands for every input.
+scale B0 = eps (1 + ||H|| t / hbar + t root). K is 8 on the first 100
+``verify --seed 42`` draws, and set per route on the reduced family that
+stands for every input. 8 does not hold on the whole validated box: a
+single ``series`` row of a stationary state can reach 16.9 B0 there, so
+each such row is held to 24 B0.
 """
 
 import math
@@ -15,6 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import SPECTRUM_K, spectrum_deviation
 from tqcoh.coherence import closed_form_coherence, coherence_extrema
 from tqcoh.evolution import (
     BellLabel,
@@ -22,7 +26,8 @@ from tqcoh.evolution import (
     closed_form_density,
     numeric_propagator,
 )
-from tqcoh.model import CircuitParams, scaled_energies
+from tqcoh.linalg import hermitian_eigensystem
+from tqcoh.model import CircuitParams, build_hamiltonian_tensor, scaled_energies
 from tqcoh.scan import THRESHOLD, TimeGrid, _draw_parameters, find_operating_point, time_series
 
 DRAWS = 100
@@ -37,6 +42,12 @@ _REDUCED_K = {
     "closed_form_coherence": 2.0,
     "time_series": 16.0,
 }
+# The same for the maxima: the worst of 9000 seeded draws was 0.99 B0
+# (find_operating_point; 0.43 B0 for coherence_extrema).
+_REDUCED_MAXIMUM_K = 2.0
+# Every row of a stationary state's series: the worst rows of two sweeps of
+# 1000 and 2000 benchmark-like 30,000-row series were 16.9 and 16.1 B0.
+_SERIES_ROW_K = 24.0
 
 # The Bell states as sign vectors; each state is the vector over sqrt(2).
 _SIGNS = {
@@ -99,24 +110,19 @@ _MAXIMUM_ROUTES = ("coherence_extrema", "find_operating_point")
 _OSCILLATING = (BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
 
 
+def with_truth(params: CircuitParams, t: float):
+    """(params, t, truth): the oracle at t and at each maximum's time of the oscillating labels."""
+    times = {t} | {
+        maximum(route, label, params, t)[0] for route in _MAXIMUM_ROUTES for label in _OSCILLATING
+    }
+    return params, t, oracle(params, sorted(times))
+
+
 @pytest.fixture(scope="module")
 def draws():
-    """(params, t, truth) of the first 100 ``verify --seed 42`` draws.
-
-    ``truth`` is the oracle at t and at each maximum's time of the
-    oscillating labels.
-    """
+    """:func:`with_truth` of the first 100 ``verify --seed 42`` draws."""
     rng = np.random.default_rng(42)
-    out = []
-    for _ in range(DRAWS):
-        params, t = _draw_parameters(rng)
-        times = {t} | {
-            maximum(route, label, params, t)[0]
-            for route in _MAXIMUM_ROUTES
-            for label in _OSCILLATING
-        }
-        out.append((params, t, oracle(params, sorted(times))))
-    return out
+    return [with_truth(*_draw_parameters(rng)) for _ in range(DRAWS)]
 
 
 def route_errors(route: str, params: CircuitParams, t: float, u, states):
@@ -159,14 +165,15 @@ def test_each_route_is_within_its_rounding_bound_of_the_oracle(route, draws):
 
 
 @pytest.mark.parametrize("route", _MAXIMUM_ROUTES)
-def test_each_maximum_is_within_its_rounding_bound_of_the_oracle(route, draws):
+def test_each_maximum_is_within_its_rounding_bound_of_the_oracle(route, draws, reduced_draws):
     # The value the library reports for its maximum, against the oracle's C at its time.
-    for params, t, truth in draws:
-        for label in _OSCILLATING:
-            at, value = maximum(route, label, params, t)
-            error = abs(value - truth[at][1][label][1])
-            assert error <= THRESHOLD, (label, params, at, error)
-            assert error <= 8.0 * rounding_scale(params, at), (label, params, at, error)
+    for family, k in ((draws, 8.0), (reduced_draws, _REDUCED_MAXIMUM_K)):
+        for params, t, truth in family:
+            for label in _OSCILLATING:
+                at, value = maximum(route, label, params, t)
+                error = abs(value - truth[at][1][label][1])
+                assert error <= THRESHOLD, (label, params, at, error)
+                assert error <= k * rounding_scale(params, at), (label, params, at, error)
 
 
 def reduced_draw(rng: np.random.Generator) -> tuple[CircuitParams, float]:
@@ -185,18 +192,49 @@ def reduced_draw(rng: np.random.Generator) -> tuple[CircuitParams, float]:
 
 @pytest.fixture(scope="module")
 def reduced_draws():
-    """(params, t, truth at t) of ``REDUCED_DRAWS`` seeded reduced-family draws."""
+    """:func:`with_truth` of ``REDUCED_DRAWS`` seeded reduced-family draws."""
     rng = np.random.default_rng(0)
-    out = []
-    for _ in range(REDUCED_DRAWS):
-        params, t = reduced_draw(rng)
-        out.append((params, t, oracle(params, [t])[t]))
-    return out
+    return [with_truth(*reduced_draw(rng)) for _ in range(REDUCED_DRAWS)]
 
 
 @pytest.mark.parametrize("route", list(_REDUCED_K))
 def test_each_route_is_within_its_k_on_the_reduced_family(route, reduced_draws):
     for params, t, truth in reduced_draws:
-        error = float(max(route_errors(route, params, t, *truth)))
+        error = float(max(route_errors(route, params, t, *truth[t])))
         assert error <= THRESHOLD, (params, t, error)
         assert error <= _REDUCED_K[route] * rounding_scale(params, t), (params, t, error)
+
+
+def test_the_jacobi_spectrum_is_within_its_bound(draws, reduced_draws):
+    # The eigenvalues against the exact spectrum {+-hbar root / 4, +-hbar^2 e_m / 4}.
+    for params, _, _ in draws + reduced_draws:
+        values = hermitian_eigensystem(build_hamiltonian_tensor(params)).eigenvalues
+        assert spectrum_deviation(values, params) <= SPECTRUM_K, params
+
+
+def test_every_row_of_a_stationary_series_is_within_its_rounding_bound():
+    # The closed form of |phi-> and |psi-> is exactly 1, so each row's gap is
+    # the error of c_numeric alone. The draws are those of a benchmark series.
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        params = CircuitParams(*rng.uniform(-5.0, 5.0, 2), (0.5, 1.0, 2.0)[rng.integers(3)])
+        grid = TimeGrid(0.0, rng.uniform(1.0, 50.0), 30_000)
+        for label in (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS):
+            series = time_series(label, params, grid)
+            assert (series.closed_form == 1.0).all()
+            k = series.gap / rounding_scale(params, series.times)
+            worst = int(np.argmax(k))
+            assert k[worst] <= _SERIES_ROW_K, (label, params, series.times[worst], k[worst])
+
+
+def test_c_numeric_is_right_at_a_minimum_of_c():
+    # C has a minimum at t = pi / 2 here, where the closed form loses digits;
+    # the spectral column must not.
+    params = CircuitParams(1.0, 0.0, 1.0)
+    grid = TimeGrid(math.pi / 2, math.pi / 2 + 10e-9, 11)
+    truth = oracle(params, list(grid.times()))
+    for label in _OSCILLATING:
+        series = time_series(label, params, grid)
+        for t, c in zip(series.times, series.numeric):
+            error = abs(c - truth[t][1][label][1])
+            assert error <= 8.0 * rounding_scale(params, t), (label, t, error)

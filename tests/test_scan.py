@@ -454,13 +454,13 @@ def test_cross_validate_passes_moderate_sweep():
 
 
 def test_cross_validate_flags_corrupted_propagator(monkeypatch):
-    true_elements = scan_module._propagator_elements
+    true_u = scan_module._closed_form_u
 
-    def corrupted(root, jr, mr, slow, t):
+    def corrupted(terms, t):
         # Perfectly unitary, but evaluated at the wrong time.
-        return true_elements(root, jr, mr, slow, t * 1.001)
+        return true_u(terms, t * 1.001)
 
-    monkeypatch.setattr(scan_module, "_propagator_elements", corrupted)
+    monkeypatch.setattr(scan_module, "_closed_form_u", corrupted)
     report = cross_validate(20, 42)
     assert not report.passed
     assert report.worst_check == "propagator"
@@ -473,8 +473,8 @@ def test_cross_validate_flags_corrupted_propagator(monkeypatch):
 def test_cross_validate_flags_corrupted_density(monkeypatch):
     true_rho = scan_module._closed_form_rho
 
-    def corrupted(jr, mr, phase):
-        return true_rho(jr, mr, phase * 1.001)
+    def corrupted(terms, t):
+        return true_rho(terms, t * 1.001)
 
     monkeypatch.setattr(scan_module, "_closed_form_rho", corrupted)
     report = cross_validate(20, 42)

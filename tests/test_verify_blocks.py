@@ -14,6 +14,7 @@ import pytest
 
 import tqcoh.evolution as evolution_module
 import tqcoh.scan as scan_module
+from conftest import SPECTRUM_K, spectrum_deviation
 from tqcoh.cli import EXIT_INVARIANT, main
 from tqcoh.coherence import closed_form_coherence, l1_coherence
 from tqcoh.evolution import (
@@ -26,7 +27,7 @@ from tqcoh.evolution import (
     numeric_propagator,
 )
 from tqcoh.linalg import EigenSystem
-from tqcoh.model import CircuitParams
+from tqcoh.model import CircuitParams, build_hamiltonian_tensor
 from tqcoh.scan import (
     THRESHOLD,
     CheckResult,
@@ -85,6 +86,17 @@ def reference_cross_validate(draws: int, seed: int) -> ValidationReport:
     )
 
 
+def spectrum_deviations(draws: int, seed: int) -> list[float]:
+    """Each draw's :func:`spectrum_deviation`, from the eigensolve ``cross_validate`` calls."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(draws):
+        params, _ = _draw_parameters(rng)
+        eig = scan_module.hermitian_eigensystem(build_hamiltonian_tensor(params))
+        out.append(spectrum_deviation(eig.eigenvalues, params))
+    return out
+
+
 @pytest.fixture
 def small_blocks(monkeypatch):
     monkeypatch.setattr(scan_module, "_BLOCK_DRAWS", BLOCK)
@@ -94,6 +106,11 @@ def small_blocks(monkeypatch):
 @pytest.mark.parametrize("draws", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
 def test_blocked_report_equals_the_draw_by_draw_loop(small_blocks, seed, draws):
     assert cross_validate(draws, seed) == reference_cross_validate(draws, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**31 - 1])
+def test_each_draws_spectrum_is_within_its_bound(seed):
+    assert max(spectrum_deviations(3 * BLOCK + 2, seed)) <= SPECTRUM_K
 
 
 def test_each_draw_makes_18_certificates_and_one_eigensolve(small_blocks, monkeypatch):
@@ -146,6 +163,9 @@ def test_cross_validate_flags_corrupted_spectrum(small_blocks, monkeypatch, caps
     assert min(by_name["propagator"], by_name["density"], by_name["coherence"]) > THRESHOLD
     assert by_name["unitarity"] <= THRESHOLD
     assert report.worst_check == "coherence"
+    # The spectrum itself names the eigensolve: every draw's is about 4.5e9
+    # eps ||H||_2 off, where a correct one is within SPECTRUM_K.
+    assert min(spectrum_deviations(20, 42)) > 1e6 * SPECTRUM_K
 
     assert main(["verify", "--samples", "10", "--seed", "3"]) == EXIT_INVARIANT
     assert "FAIL" in capsys.readouterr().out
