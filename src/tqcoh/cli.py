@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .coherence import closed_form_coherence, l1_coherence
-from .evolution import BellLabel, analytic_propagator, bell_state, density_matrix, evolve
+from .evolution import (
+    BellLabel, analytic_propagator, bell_state, density_matrix, evolve, numeric_propagator
+)
 from .linalg import EigenConvergenceError
 from .model import CircuitParams, InputError
 from .scan import (
@@ -45,9 +47,9 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 EXIT_IO = 3
 
-# 1e-5 .. 1e11. Each literal is the correctly rounded 10**k, which for
-# these k is never below 10**k, so a search in this table never puts a
-# value in too high a decade.
+# 1e-5 .. 1e11. Each literal is the double nearest 10**k, which for these
+# k is never below 10**k. So no double lies between 10**k and its entry,
+# and a search in this table finds every value's exact decade.
 _DECADES = np.array([float(f"1e{k}") for k in range(-5, 12)])
 # 10**0 .. 10**16, each exact.
 _SCALES = np.array([float(10**k) for k in range(17)])
@@ -246,27 +248,6 @@ def _cells(a: np.ndarray, start: int, stop: int) -> np.ndarray:
     return a[:, start:stop].view(f"S{stop - start}")[:, 0]
 
 
-def _decade_and_digits(a: np.ndarray):
-    """The decimal exponent X and the 12 significant digits n of ``%.12g`` for each a.
-
-    Meaningful where ``1e-5 <= a < 1e12``; callers pass 1.0 elsewhere.
-    The table search gives a decade e with ``10**e <= a`` that is at most
-    one too low, and n is ``a * 10**(11 - e)`` rounded to an integer. An n
-    above 10**12 means e was too low; an n of exactly 10**12 is the carry
-    to the next decade, which is also where a value one decade too low
-    lands.
-    """
-    k = 17 - np.searchsorted(_DECADES, a, side="right")  # 11 - e
-    n = _round_half_even(a, _SCALES[k])
-    low = np.flatnonzero(n > 10**12)
-    if low.size:
-        k[low] -= 1
-        n[low] = _round_half_even(a[low], _SCALES[k[low]])
-    carry = n == 10**12
-    n[carry] = 10**11
-    return 11 - k + carry, n
-
-
 def _g12(values: np.ndarray) -> np.ndarray:
     """``b"%.12g" % v`` for every v of values, as a null-padded S array.
 
@@ -281,7 +262,15 @@ def _g12(values: np.ndarray) -> np.ndarray:
     remain, come out as null bytes from the stripped digit table.
     """
     fixed = (values >= 1e-5) & (values < 1e12)
-    exponent, n = _decade_and_digits(np.where(fixed, values, 1.0))
+    a = np.where(fixed, values, 1.0)
+    # The search gives the exact decade e of a (see _DECADES), so
+    # a * 10**(11 - e) < 10**12, and n reaches 10**12 only on the carry
+    # to the next decade.
+    k = 17 - np.searchsorted(_DECADES, a, side="right")  # 11 - e
+    n = _round_half_even(a, _SCALES[k])
+    carry = n == 10**12
+    n[carry] = 10**11
+    exponent = 11 - k + carry
     fixed &= (exponent >= -4) & (exponent <= 11)
     # Group key: X + 4 in the kernel, 16 for "%.12g".
     key = np.where(fixed, (exponent + 4).astype(np.uint8), np.uint8(16))
@@ -412,10 +401,10 @@ def _write_grid(gridval: ScanGrid, args, stream):
 def _cmd_evolve(args) -> int:
     params = CircuitParams(args.ej, args.em, args.hbar)
     label = BellLabel(args.state)
-    u = analytic_propagator(params, args.t)
-    state = evolve(bell_state(label), u)
+    state = evolve(bell_state(label), analytic_propagator(params, args.t))
     rho = density_matrix(state)
-    c_numeric = l1_coherence(rho)
+    spectral = evolve(bell_state(label), numeric_propagator(params, args.t))
+    c_numeric = l1_coherence(density_matrix(spectral))
     c_closed = closed_form_coherence(label, params, args.t)
 
     print(

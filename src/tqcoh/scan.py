@@ -3,8 +3,10 @@
 Operating points come from the closed-form maximisers of
 :func:`coherence_extrema`; no numerical search is involved.
 
-This module holds no formula: each closed form, the spectral synthesis
-and the l1 sum is one kernel of the routes it calls, for scalars or stacks.
+Each closed form, the spectral synthesis and the l1 sum is one kernel of
+the routes this module calls, for scalars or stacks. The block arithmetic
+of :func:`cross_validate` adds two steps of its own: the stationary
+states' C of exactly 1, and the evolved states psi = U b.
 
 Everything here is deterministic: the same inputs (including the seed of
 :func:`cross_validate`) reproduce bit-identical series, grids and
@@ -183,7 +185,7 @@ def time_series(
     """
     times = grid.times()
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-    closed = np.asarray(closed_form_coherence(label, params, times), dtype=float)
+    closed = closed_form_coherence(label, params, times)
     _check_spectral_phase(eig, params, times)
     coeffs = eig.eigenvectors.T @ bell_state(label).amplitudes
     numeric = np.empty_like(times)

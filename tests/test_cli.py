@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 import tqcoh.cli as cli_module
 import tqcoh.scan as scan_module
 from tqcoh.cli import EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from tqcoh.coherence import closed_form_coherence, l1_coherence
+from tqcoh.evolution import BellLabel, bell_state, density_matrix, evolve, numeric_propagator
+from tqcoh.model import CircuitParams
 
 
 def run_cli(argv, capsys):
@@ -48,6 +51,24 @@ def test_evolve_near_peak(capsys):
     assert code == EXIT_OK
     numeric = float(out.split("C(numeric) = ")[1].split()[0])
     assert numeric == pytest.approx(3.0, abs=1e-4)
+
+
+def test_evolve_gap_is_the_two_route_gap(capsys):
+    # A minimum of C at e_m = 0, where the closed-form C cancels to 1 and
+    # the exact value is 1.00000002: C(numeric) comes from the spectral
+    # propagator, and the gap is between it and the closed form.
+    params = CircuitParams(1.0, 0.0, 1.0)
+    t = 1.5707963317948966
+    code, out, _ = run_cli(
+        ["evolve", "--state", "phi+", "--ej", "1", "--em", "0", "--t", repr(t)], capsys
+    )
+    assert code == EXIT_OK
+    assert "C(numeric) = 1.000000020000" in out
+    assert "C(closed)  = 1.000000000000" in out
+    spectral = evolve(bell_state(BellLabel.PHI_PLUS), numeric_propagator(params, t))
+    c_numeric = l1_coherence(density_matrix(spectral))
+    closed = closed_form_coherence(BellLabel.PHI_PLUS, params, t)
+    assert f"gap = {abs(c_numeric - closed):.12g}\n" in out
 
 
 def test_evolve_requires_state(capsys):
@@ -443,8 +464,10 @@ def test_g12_on_ties_and_carries():
             assert_prints_like_g12(values)
 
 
-@pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e12, 1e13])
+@pytest.mark.parametrize("edge", [float(f"1e{k}") for k in range(-5, 14)])
 def test_g12_around_the_notation_switches(edge):
+    # Every decade boundary of the kernel, and the switches to and from
+    # exponent notation at 1e-4 and 1e12.
     below, above = [edge], [edge]
     for _ in range(4):
         below.append(np.nextafter(below[-1], 0.0))
@@ -475,10 +498,13 @@ def test_g12_on_every_block_of_a_series_time_column(t_max):
 
 
 def test_g12_decades_are_never_below_their_powers_of_ten():
-    # The kernel's decade search relies on it: a value is never put in too
-    # high a decade.
+    # The kernel's decade search relies on it: each entry is the least
+    # double at or above 10**k, so the search finds every value's exact
+    # decade, and its 12 digits never need a second rounding.
     for k, power in zip(range(-5, 12), cli_module._DECADES.tolist()):
         assert Fraction(power) >= Fraction(10) ** k
+        if Fraction(power) > Fraction(10) ** k:
+            assert Fraction(np.nextafter(power, 0.0)) < Fraction(10) ** k
 
 
 # ----------------------------------------------------------------- verify
@@ -580,12 +606,13 @@ def test_optimize_large_windows_finish(window):
         ["grid", "--state", "phi+", "--vary", "ej", "--min", "0", "--max", "inf"],
         ["optimize", "--state", "phi+", "--t-max", "inf"],
         ["optimize", "--state", "phi+", "--t-min=-inf"],
+        ["evolve", "--state", "phi+", "--ej", "abc"],
     ],
 )
 def test_non_finite_flags_are_usage_errors(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE
-    assert "is not a finite number" in err
+    assert f"{argv[-1].split('=')[-1]!r} is not a finite number" in err
 
 
 @pytest.mark.parametrize(
@@ -807,9 +834,11 @@ def test_console_entry_point_subprocess(tmp_path):
         # with lambda ~ hbar e_j, overflows in t lambda.
         (["series", "--state", "phi+", "--hbar", "1e200", "--ej", "1", "--em", "0",
           "--t-max", "1e110", "--steps", "3"], "5e+109 (e_j=1.0, e_m=0.0, hbar=1e+200)"),
+        (["evolve", "--state", "phi+", "--hbar", "1e200", "--ej", "1", "--em", "0",
+          "--t", "1e110"], "1e+110 (e_j=1.0, e_m=0.0, hbar=1e+200)"),
     ],
     ids=["series-csv", "series-json", "grid", "evolve", "optimize", "optimize-far-window",
-         "series-spectral-phase"],
+         "series-spectral-phase", "evolve-spectral-phase"],
 )
 def test_non_finite_coherence_is_an_invariant_violation(argv, bad_t, tmp_path):
     # In a subprocess, so that any numpy RuntimeWarning reaches stderr: the

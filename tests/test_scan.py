@@ -271,6 +271,13 @@ def test_grid_rejects_non_finite_values():
             ScanGrid("e_j", "t", axis, axis, np.array([[1.0, 2.0], [bad, 1.0]]))
 
 
+def test_grid_rejects_values_that_do_not_match_its_axes():
+    axis = np.array([0.0, 1.0])
+    for values in (np.ones((2, 3)), np.ones((3, 2)), np.ones(4)):
+        with pytest.raises(ValueError, match="grid shape does not match its axes"):
+            ScanGrid("e_j", "t", axis, axis, values)
+
+
 def test_series_rejects_non_finite_coherence():
     # t * |E| / hbar overflows at the two later grid points.
     # No errstate: the overflow is caught before numpy computes the phase,
