@@ -248,8 +248,9 @@ def find_operating_point(
     is a periodic copy of one of the two analytic maximisers t_max and
     period - t_max (:func:`coherence_extrema`). On a closed window the
     maximum is therefore at the earliest in-window copy of one of them or
-    at an edge. These candidates are compared directly; the earliest
-    within 1e-12 of the best value wins.
+    at an edge. Two float remainders place each copy, so no copy index can
+    overflow. One closed-form call scores the candidates, checking the
+    phase at lo first; the earliest within 1e-12 of the best value wins.
 
     stabilize: classifies the only two freezing mechanisms the model has
     (stationary Bell state; tunnelling switched off via e_j = 0) and
@@ -264,9 +265,6 @@ def find_operating_point(
     if objective not in ("maximize", "stabilize"):
         raise InputError(f"unknown objective {objective!r}")
 
-    def value(t: float) -> float:
-        return closed_form_coherence(label, params, t)
-
     # e_j = 0 kills the oscillating term entirely (and covers the
     # zero-Hamiltonian case), so the trajectory is constant.
     if label.stationary:
@@ -278,34 +276,27 @@ def find_operating_point(
     else:
         mechanism = None
     if mechanism is not None:
-        return OperatingPoint(t=lo, coherence=value(lo), mechanism=mechanism)
+        return OperatingPoint(lo, closed_form_coherence(label, params, lo), mechanism)
 
-    # A window edge whose phase overflows would overflow the copy index
-    # below; reject it as the closed form would.
-    _closed_form_terms(params, np.array([lo, hi]))
     ext = coherence_extrema(label, params)
     period = ext.period
     candidates = [lo, hi]
     # Each period holds maxima at t_max and period - t_max (they coincide
     # when the boundary-regime maximum sits at half a period). Later copies
     # repeat the same value and the earliest time wins ties, so one copy
-    # per offset is enough. Where the period overflows to inf, a finite
-    # offset is the only copy.
+    # per offset is enough: lo plus the gap between two remainders in
+    # [0, period], so never before lo. Where the period overflows to inf, a
+    # finite offset is the only copy.
     for offset in (ext.t_of_first_max, period - ext.t_of_first_max):
-        point = offset
-        if math.isfinite(period):
-            k = math.ceil((lo - offset) / period)
-            if offset + k * period < lo:  # rounding in the ceil above
-                k += 1
-            point = offset + k * period
+        point = lo + (offset % period - lo % period) % period if math.isfinite(period) else offset
         if lo <= point <= hi:
             candidates.append(point)
 
     # Equal-value maxima recur every period; prefer the earliest time among
     # candidates within float noise of the best.
-    scored = [(value(c), c) for c in candidates]
-    top = max(v for v, _ in scored)
-    best, coherence = min((c, v) for v, c in scored if v >= top - 1e-12)
+    values = closed_form_coherence(label, params, np.array(candidates))
+    top = values.max()
+    best, coherence = min((c, float(v)) for c, v in zip(candidates, values) if v >= top - 1e-12)
     return OperatingPoint(t=best, coherence=coherence)
 
 

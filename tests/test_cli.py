@@ -428,6 +428,31 @@ def test_csv_values_outside_the_domain_exit_2_before_the_file_opens(
     assert not out_file.exists()
 
 
+def test_a_non_finite_series_row_exits_2_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    # Both routes check their phases first, so only a corrupted route can
+    # reach the series' own finiteness check. Row 2 of 7 on [0, 10] is t = 10/3.
+    true_closed = scan_module.closed_form_coherence
+
+    def corrupted(label, params, t):
+        values = true_closed(label, params, t)
+        values[2] = np.nan
+        return values
+
+    monkeypatch.setattr(scan_module, "closed_form_coherence", corrupted)
+    message = "coherence is not finite at t = 3.33333333333"
+    with pytest.raises(ValueError) as raised:
+        scan_module.time_series(
+            BellLabel.PHI_PLUS, CircuitParams(0.5, 1.5), scan_module.TimeGrid(0.0, 10.0, 7)
+        )
+    assert str(raised.value) == message
+    out_file = tmp_path / "out.csv"
+    argv = ["series", "--state", "phi+", "--t-max", "10", "--steps", "7", "--out", str(out_file)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_INVARIANT
+    assert f"invariant violation: {message}\n" in err
+    assert not out_file.exists()
+
+
 # ------------------------------------------------------- CSV times and axes
 
 
@@ -826,8 +851,8 @@ def test_console_entry_point_subprocess(tmp_path):
          "5e+307 (e_j=-1.0, e_m=1.5, hbar=1.0)"),
         (["evolve", "--state", "phi+", "--ej", "5", "--t", "1e308"], "1e+308"),
         (["optimize", "--state", "phi+", "--t-max", "1e308"], "1e+308"),
-        # Far window: the copy index of the maximiser overflowed (an
-        # uncaught OverflowError, exit 1).
+        # Far window: the phase at its start overflows, and the one
+        # closed-form call that scores the candidates names it first.
         (["optimize", "--state", "phi+", "--ej", "1e10", "--t-min", "1e300",
           "--t-max", "1e301"], "1e+300 (e_j=10000000000.0"),
         # The closed-form phase is finite; the spectral one, t lambda / hbar

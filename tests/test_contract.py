@@ -45,7 +45,7 @@ def argvs(draw) -> list[str]:
                  flag("max", hi), flag("t-max", draw(magnitudes())),
                  flag("steps", draw(st.integers(2, 3))), flag("vsteps", draw(st.integers(2, 3)))]
     else:
-        lo, hi = sorted(draw(st.tuples(magnitudes(), magnitudes())))
+        lo, hi = sorted(draw(st.tuples(signed(), signed())))
         argv += [flag("t-min", lo), flag("t-max", hi),
                  flag("objective", draw(st.sampled_from(("maximize", "stabilize"))))]
     return argv
@@ -56,8 +56,12 @@ def argvs(draw) -> list[str]:
 # Each phase overflow exits 2 instead of printing numpy warnings.
 @example(["evolve", "--state", "phi+", "--ej", "5", "--t", "1e308"])
 @example(["optimize", "--state", "phi+", "--t-max", "1e308"])
-# The copy index of a far window overflowed (uncaught OverflowError).
+# A far window: its edges' phases overflow, so it exits 2 naming t = 1e+300.
 @example(["optimize", "--state", "phi+", "--ej", "1e10", "--t-min", "1e300", "--t-max", "1e301"])
+# lo - t* overflowed inside a copy index (uncaught OverflowError); two
+# remainders in [0, period] place the copy, and this exits 0.
+@example(["optimize", "--state", "phi+", "--ej=1.848e-308", "--em=0", "--t-min=-1e308",
+          "--t-max=1e308"])
 # hbar e_m overflowed, so the period was pi / inf = 0 (ZeroDivisionError).
 @example(["optimize", "--state", "phi+", "--ej=-1.1450272672090684e-38",
           "--em=1.697692495261378e+207", "--hbar=9.967526364410598e+213", "--t-min", "0",

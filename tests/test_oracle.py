@@ -97,13 +97,18 @@ def oracle(params: CircuitParams, times):
         return out
 
 
-def maximum(route: str, label: BellLabel, params: CircuitParams, t: float):
-    """(time, C) of the library's maximum of C for a label, over one period or over [0, t]."""
+def windows(t: float):
+    """The windows of :func:`find_operating_point`: from 0, from before 0 and from mid-way."""
+    return (0.0, t), (-t / 3, t), (t / 2, t)
+
+
+def maxima(route: str, label: BellLabel, params: CircuitParams, t: float):
+    """(time, C) of the library's maxima of C for a label: over one period, or per window."""
     if route == "coherence_extrema":
         ext = coherence_extrema(label, params)
-        return ext.t_of_first_max, ext.max_value
-    point = find_operating_point(label, params, (0.0, t), "maximize")
-    return point.t, point.coherence
+        return [(ext.t_of_first_max, ext.max_value)]
+    points = [find_operating_point(label, params, w, "maximize") for w in windows(t)]
+    return [(point.t, point.coherence) for point in points]
 
 
 _MAXIMUM_ROUTES = ("coherence_extrema", "find_operating_point")
@@ -113,7 +118,10 @@ _OSCILLATING = (BellLabel.PHI_PLUS, BellLabel.PSI_PLUS)
 def with_truth(params: CircuitParams, t: float):
     """(params, t, truth): the oracle at t and at each maximum's time of the oscillating labels."""
     times = {t} | {
-        maximum(route, label, params, t)[0] for route in _MAXIMUM_ROUTES for label in _OSCILLATING
+        at
+        for route in _MAXIMUM_ROUTES
+        for label in _OSCILLATING
+        for at, _ in maxima(route, label, params, t)
     }
     return params, t, oracle(params, sorted(times))
 
@@ -170,10 +178,22 @@ def test_each_maximum_is_within_its_rounding_bound_of_the_oracle(route, draws, r
     for family, k in ((draws, 8.0), (reduced_draws, _REDUCED_MAXIMUM_K)):
         for params, t, truth in family:
             for label in _OSCILLATING:
-                at, value = maximum(route, label, params, t)
-                error = abs(value - truth[at][1][label][1])
-                assert error <= THRESHOLD, (label, params, at, error)
-                assert error <= k * rounding_scale(params, at), (label, params, at, error)
+                for at, value in maxima(route, label, params, t):
+                    error = abs(value - truth[at][1][label][1])
+                    assert error <= THRESHOLD, (label, params, at, error)
+                    assert error <= k * rounding_scale(params, abs(at)), (label, params, at, error)
+
+
+def test_each_operating_point_lies_in_its_window(draws, reduced_draws):
+    # A window that holds a whole period holds a copy of the peak too.
+    for params, t, _ in draws + reduced_draws:
+        for label in _OSCILLATING:
+            peak = coherence_extrema(label, params)
+            points = maxima("find_operating_point", label, params, t)
+            for (lo, hi), (at, value) in zip(windows(t), points):
+                assert lo <= at <= hi, (label, params, lo, hi, at)
+                if hi - lo >= peak.period:
+                    assert abs(value - peak.max_value) <= THRESHOLD, (label, params, lo, hi, value)
 
 
 def reduced_draw(rng: np.random.Generator) -> tuple[CircuitParams, float]:

@@ -389,6 +389,19 @@ def test_optimize_window_with_second_maximiser():
     assert point.t == pytest.approx(math.pi / 0.625 - 1.7345621947521976, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "lo",
+    [338.51329465957804, -973.4157974795195, 877.9113808103899, -971.8583736232803],
+    ids=["copy-67", "copy-minus-194", "mirrored-copy-174", "mirrored-copy-minus-194"],
+)
+def test_optimize_window_starting_one_ulp_after_a_maximiser_copy(lo):
+    # Each lo is the double after a copy of t* or of period - t*, where
+    # (lo - offset) / period rounds down to a whole number of periods.
+    point = find_operating_point(BellLabel.PHI_PLUS, CANONICAL_PARAMS, (lo, lo + 1.0), "maximize")
+    assert lo <= point.t <= lo + 1.0
+    assert point.coherence == pytest.approx(3.0, abs=1e-12)
+
+
 def test_optimize_rejects_empty_window():
     for window in [(3.0, 3.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]:
         with pytest.raises(ValueError, match="window"):
