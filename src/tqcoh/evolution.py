@@ -157,23 +157,18 @@ class DensityMatrix:
 
 
 _LABELS = tuple(BellLabel)  # iterating the enum class takes about 2 us a loop
-# Each Bell state is sqrt(1/2) s for its sign vector s. Integer signs keep
-# every zero of s s^T positive; with float signs, -1.0 * 0.0 is -0.0.
-_BELL_SIGNS = {
-    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1]),
-    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0]),
-    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1]),
-    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0]),
-}
-# Built once; each certificate copies them into a complex array of its own.
-_BELL_AMPLITUDES = {label: math.sqrt(0.5) * s for label, s in _BELL_SIGNS.items()}
-# s s^T / 2 in BellLabel order: rho(t) of |phi-> and |psi->, rho(0) of the others.
-_BELL_RHO = np.array([0.5 * (s[:, np.newaxis] * s) for s in _BELL_SIGNS.values()], dtype=complex)
+# Sign rows in BellLabel order: each Bell state is sqrt(1/2) s. Integer signs
+# keep every zero of s s^T positive; with float signs, -1.0 * 0.0 is -0.0.
+_BELL_SIGNS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]])
+# s s^T / 2 per label: rho(t) of |phi-> and |psi->, rho(0) of the others.
+_BELL_RHO = (0.5 * (_BELL_SIGNS[:, :, np.newaxis] * _BELL_SIGNS[:, np.newaxis, :])).astype(complex)
+# Certified once, at import; every caller shares these read-only states.
+_BELL_STATES = {label: StateVector(math.sqrt(0.5) * s) for label, s in zip(_LABELS, _BELL_SIGNS)}
 
 
 def bell_state(label: BellLabel) -> StateVector:
-    """The normalised Bell state for a label."""
-    return StateVector(_BELL_AMPLITUDES[label])
+    """The normalised Bell state for a label: one shared, frozen, read-only certificate."""
+    return _BELL_STATES[label]
 
 
 def _closed_form_terms(params: CircuitParams, t) -> tuple[float, ...]:

@@ -29,6 +29,7 @@ from .coherence import (
     off_diagonal_l1,
 )
 from .evolution import (
+    _BELL_STATES,
     _LABELS,
     BellLabel,
     DensityMatrix,
@@ -40,7 +41,6 @@ from .evolution import (
     _closed_form_u,
     _projector,
     _spectral_synthesis,
-    bell_state,
 )
 from .linalg import hermitian_eigensystem
 from .model import CircuitParams, InputError, build_hamiltonian_tensor
@@ -76,7 +76,6 @@ _BLOCK_DRAWS = 256
 
 _CHECK_NAMES = ("propagator", "density", "coherence", "unitarity")
 _STATIONARY = np.array([label.stationary for label in _LABELS])
-_BELL_INPUTS = [bell_state(label).amplitudes for label in _LABELS]
 
 # The most float64 elements numpy can size; beyond it numpy raises a
 # ValueError ("array is too big") instead of a MemoryError.
@@ -187,7 +186,7 @@ def time_series(
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     closed = closed_form_coherence(label, params, times)
     _check_spectral_phase(eig, params, times)
-    coeffs = eig.eigenvectors.T @ bell_state(label).amplitudes
+    coeffs = eig.eigenvectors.T @ _BELL_STATES[label].amplitudes
     numeric = np.empty_like(times)
     for lo in range(0, len(times), _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
@@ -416,7 +415,8 @@ def _block_deviations(columns: np.ndarray, eigs: list) -> tuple[np.ndarray, ...]
     # U is the transpose of the synthesised U^T, as in numeric_propagator:
     # BLAS rounds U @ b differently for a C-contiguous U.
     u_spectral = synthesis.swapaxes(1, 2)
-    psi = np.stack([u_spectral @ b for b in _BELL_INPUTS], axis=1)  # draw, label, entry
+    inputs = _BELL_STATES.values()
+    psi = np.stack([u_spectral @ b.amplitudes for b in inputs], axis=1)  # draw, label, entry
     rho = _projector(psi)
     u_closed = _closed_form_u(terms, t)
     rho_closed = _closed_form_rho(terms, t)
@@ -426,8 +426,8 @@ def _block_deviations(columns: np.ndarray, eigs: list) -> tuple[np.ndarray, ...]
     unitarity = []
     for u, v, states, rhos, closed_rhos in zip(u_closed, u_spectral, psi, rho, rho_closed):
         unitarity.append(max(UnitaryMatrix(u).defect, UnitaryMatrix(v).defect))
-        for amplitudes, state, r, r_closed in zip(_BELL_INPUTS, states, rhos, closed_rhos):
-            StateVector(amplitudes)  # the input state, as bell_state certifies it
+        for b, state, r, r_closed in zip(inputs, states, rhos, closed_rhos):
+            StateVector(b.amplitudes)  # kept only for perfbench's pinned 18 (ROADMAP item 3)
             StateVector(state)
             DensityMatrix(r)
             DensityMatrix(r_closed)

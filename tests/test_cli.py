@@ -181,8 +181,13 @@ def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
              "--vsteps", "3", "--steps", "4", "--format", "json"],
             "9707ddd61b5748c212ee7ce4811fc85fc5373c5b3227cc3fc1e6b3e6b4230d87",
         ),
+        (
+            # The reference report: every deviation, worst draw and its point.
+            ["verify", "--samples", "1000", "--seed", "42", "--format", "json"],
+            "777d18a87fb66be905fedd93508744be2b4777e87e5a75f7e2e1d42ed219f1e6",
+        ),
     ],
-    ids=["series", "grid"],
+    ids=["series", "grid", "verify"],
 )
 def test_json_golden_bytes(argv, digest, capsys):
     code, out, _ = run_cli(argv, capsys)

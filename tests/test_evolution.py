@@ -47,6 +47,21 @@ def test_bell_states():
         assert np.sqrt(np.sum(np.abs(amp) ** 2)) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_bell_state_is_one_shared_read_only_certificate(monkeypatch):
+    certified = []
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: certified.append(self))
+    for label in BellLabel:
+        state = bell_state(label)
+        assert bell_state(label) is state
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 1.0
+        with pytest.raises(AttributeError):
+            state.amplitudes = np.zeros(4, dtype=complex)
+    assert certified == []
+    with pytest.raises(KeyError):
+        bell_state("phi+")
+
+
 def test_state_vector_rejects_unnormalised():
     with pytest.raises(ValueError, match="normalised"):
         StateVector(np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))

@@ -2,6 +2,8 @@
 
 import pathlib
 import re
+import subprocess
+import sys
 
 import tqcoh
 from tqcoh import coherence, evolution, linalg, model, scan
@@ -37,3 +39,23 @@ def test_package_exports_each_module_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(tqcoh, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_a_failing_hypothesis_test_reports_its_example(tmp_path):
+    # Hypothesis imports libcst to report a failure; with the suite's warning
+    # filters that import must not abort the run (pytest exit 3, no example).
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "@settings(database=None)\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout

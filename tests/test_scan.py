@@ -13,6 +13,7 @@ from tqcoh.evolution import (
     BellLabel,
     DensityMatrix,
     DensityMatrixError,
+    StateVector,
     analytic_propagator,
     bell_state,
     closed_form_density,
@@ -110,6 +111,15 @@ def test_series_does_not_depend_on_block_size(monkeypatch):
         monkeypatch.setattr(scan_module, "_BLOCK_ROWS", rows)
         other = time_series(BellLabel.PHI_PLUS, params, grid)
         assert np.array_equal(other.numeric, blocked.numeric)
+
+
+def test_series_makes_no_certificate(monkeypatch):
+    # bell_state's shared input is certified once, at import.
+    certified = []
+    monkeypatch.setattr(StateVector, "__post_init__", lambda self: certified.append(self))
+    for label in BellLabel:
+        time_series(label, CANONICAL_PARAMS, TimeGrid(0.0, 5.0, 11))
+    assert certified == []
 
 
 def test_series_memory_per_row_is_bounded():
