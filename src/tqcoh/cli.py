@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -57,25 +56,17 @@ _SCALES = np.array([float(10**k) for k in range(17)])
 _G12_WIDTH = 19
 
 
-@functools.cache
-def _four_digit_tables():
-    """"0000" .. "9999" as native uint32, and the same with trailing zeros as null bytes.
-
-    "1200" becomes "12\\0\\0" and "0000" four null bytes. Built on first use,
-    so that commands without a CSV column pay for it neither in start-up
-    time nor in memory, and read-only, because every call shares them.
-    """
-    d = np.arange(10**4)
-    digits = np.stack([d // 10**k % 10 for k in (3, 2, 1, 0)], axis=1).astype(np.uint8)
-    digits += np.uint8(ord("0"))
-    stripped = digits.copy()
-    for k in range(4):
-        # Digit k and every digit after it are zeros.
-        stripped[d % 10 ** (4 - k) == 0, k] = 0
-    tables = digits.view(np.uint32).ravel(), stripped.view(np.uint32).ravel()
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+# "0000" .. "9999" as native uint32 (_DIGITS4), and the same with trailing
+# zeros as null bytes (_STRIPPED4): "1200" becomes "12\0\0" and "0000" four
+# null bytes. Digit k of n is stripped where 10**(4 - k) divides n.
+# Read-only, because every call shares them. uint16 keeps the temporaries,
+# built at import by every command, at 80 kB each.
+_N = np.arange(10**4, dtype=np.uint16)[:, np.newaxis]
+_DIGITS = (_N // 10 ** np.arange(3, -1, -1, dtype=np.uint16) % 10 + ord("0")).astype(np.uint8)
+_STRIPPED = np.where(_N % 10 ** np.arange(4, 0, -1, dtype=np.uint16) == 0, np.uint8(0), _DIGITS)
+_DIGITS.flags.writeable = _STRIPPED.flags.writeable = False
+_DIGITS4, _STRIPPED4 = _DIGITS.view(np.uint32).ravel(), _STRIPPED.view(np.uint32).ravel()
+del _N
 
 
 def _four_digit_groups(n: np.ndarray):
@@ -227,9 +218,8 @@ def _fixed12(x: np.ndarray) -> np.ndarray:
     """
     n = _round_half_even(x, 1e12)
     units = n // 10**12  # 10 where v rounds up to 10
-    digits4 = _four_digit_tables()[0]
     groups = _four_digit_groups(n - units * 10**12)
-    decimals = np.stack([digits4[g] for g in groups], axis=1).view(np.uint8)
+    decimals = np.stack([_DIGITS4[g] for g in groups], axis=1).view(np.uint8)
     chars = np.zeros((len(n), 16), np.uint8)
     chars[:, 0] = ord("0") + units
     chars[:, 1] = ord(".")
@@ -278,15 +268,14 @@ def _g12(values: np.ndarray) -> np.ndarray:
     starts = np.searchsorted(key[order], np.arange(18, dtype=np.uint8))
     kernel = starts[16]
 
-    digits4, stripped4 = _four_digit_tables()
     high, middle, low = _four_digit_groups(n[order[:kernel]])
-    full = np.stack([digits4[high], digits4[middle], digits4[low]], axis=1)
+    full = np.stack([_DIGITS4[high], _DIGITS4[middle], _DIGITS4[low]], axis=1)
     # Only the last nonzero four-digit group loses its trailing zeros.
     stripped = np.stack(
         [
-            np.where((middle | low) != 0, full[:, 0], stripped4[high]),
-            np.where(low != 0, full[:, 1], stripped4[middle]),
-            stripped4[low],
+            np.where((middle | low) != 0, full[:, 0], _STRIPPED4[high]),
+            np.where(low != 0, full[:, 1], _STRIPPED4[middle]),
+            _STRIPPED4[low],
         ],
         axis=1,
     )

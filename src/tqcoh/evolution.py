@@ -12,7 +12,7 @@ independent routes:
 * :func:`numeric_propagator` synthesises U(t) from the spectral
   decomposition, U = sum_j exp(-i lambda_j t / hbar) |v_j><v_j|, with
   :func:`_spectral_synthesis`. Each route checks its phase before numpy
-  forms it, in :func:`_closed_form_terms` or :func:`_check_spectral_phase`.
+  forms it, in its one entry: :func:`_closed_form_terms` or :func:`_spectral_entry`.
 
 On top of these sit the four Bell states, their propagated density
 matrices, and the closed-form density trajectories for each Bell input.
@@ -218,13 +218,17 @@ def analytic_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     return UnitaryMatrix(_closed_form_u(_closed_form_terms(params, t), t))
 
 
-def _check_spectral_phase(eig: EigenSystem, params: CircuitParams, t) -> None:
-    """Raise ValueError unless every phase lambda t / hbar of ``eig`` is finite.
+def _spectral_entry(params: CircuitParams, t) -> EigenSystem:
+    """The Jacobi eigensystem of H, once every phase lambda t / hbar is checked.
 
-    The eigenvalues ascend, so the largest |lambda| is at one of the ends.
+    The spectral route's one entry, for a scalar t or an array of them:
+    ValueError where a phase overflows. The eigenvalues ascend, so the
+    largest |lambda| is at one of the ends.
     """
+    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     values = eig.eigenvalues
     check_phase(params, t, max(-float(values[0]), float(values[-1])), params.hbar)
+    return eig
 
 
 def _spectral_synthesis(values, vectors, t, hbar, coeffs) -> np.ndarray:
@@ -234,7 +238,7 @@ def _spectral_synthesis(values, vectors, t, hbar, coeffs) -> np.ndarray:
     of them (N x 1 x 4 values, N x 4 x 4 vectors, t and hbar as N x 1 x 1
     for a block of ``scan.cross_validate`` draws). With ``coeffs`` = V^T
     psi0 the rows are psi(t); with ``coeffs`` = V the result is U(t)^T.
-    Phases are not checked here: :func:`_check_spectral_phase` runs first.
+    Phases are not checked here: :func:`_spectral_entry` checks them first.
     """
     return (np.exp(-1j * t * values / hbar) * coeffs) @ vectors.swapaxes(-1, -2)
 
@@ -248,8 +252,7 @@ def numeric_propagator(params: CircuitParams, t: float) -> UnitaryMatrix:
     cross-validation of the closed forms.
     """
     t = float(t)
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-    _check_spectral_phase(eig, params, t)
+    eig = _spectral_entry(params, t)
     vectors = eig.eigenvectors
     return UnitaryMatrix(_spectral_synthesis(eig.eigenvalues, vectors, t, params.hbar, vectors).T)
 
@@ -279,6 +282,7 @@ def _projector(psi) -> np.ndarray:
 
 def closed_form_density(label: BellLabel, params: CircuitParams, t: float) -> DensityMatrix:
     """The closed-form density matrix rho(t) for a Bell input; the phase is checked first."""
+    t = float(t)
     return DensityMatrix(_closed_form_rho(_closed_form_terms(params, t), t)[_LABELS.index(label)])
 
 

@@ -35,15 +35,14 @@ from .evolution import (
     DensityMatrix,
     StateVector,
     UnitaryMatrix,
-    _check_spectral_phase,
     _closed_form_rho,
     _closed_form_terms,
     _closed_form_u,
     _projector,
+    _spectral_entry,
     _spectral_synthesis,
 )
-from .linalg import hermitian_eigensystem
-from .model import CircuitParams, InputError, build_hamiltonian_tensor
+from .model import CircuitParams, InputError
 
 __all__ = [
     "CoherenceSeries",
@@ -119,7 +118,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        steps = _check_span(float(self.t_start), float(self.t_end), self.steps, "a time grid")
+        object.__setattr__(self, "t_start", float(self.t_start))
+        object.__setattr__(self, "t_end", float(self.t_end))
+        steps = _check_span(self.t_start, self.t_end, self.steps, "a time grid")
         object.__setattr__(self, "steps", steps)
 
     def times(self) -> np.ndarray:
@@ -180,12 +181,11 @@ def time_series(
     columns memory stays O(block); no N x 4 x 4 propagator or density
     stack is formed. Raises ``ValueError`` naming the first time at which
     either column is not finite; each route rejects a phase that would
-    overflow before it is computed.
+    overflow before it is computed, the closed form's first.
     """
     times = grid.times()
-    eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     closed = closed_form_coherence(label, params, times)
-    _check_spectral_phase(eig, params, times)
+    eig = _spectral_entry(params, times)
     coeffs = eig.eigenvectors.T @ _BELL_STATES[label].amplitudes
     numeric = np.empty_like(times)
     for lo in range(0, len(times), _BLOCK_ROWS):
@@ -346,8 +346,8 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
       propagated density matrix;
     * "unitarity": max |U+U - I| over both propagator routes.
 
-    Each draw runs, in draw order, only the draw, the closed-form phase
-    check, its eigensolve and the spectral phase check. Both routes then
+    Each draw runs, in draw order, only the draw and the two checked entries,
+    :func:`_closed_form_terms` and :func:`_spectral_entry`. Both routes then
     run on stacks, one block of up to ``_BLOCK_DRAWS`` draws at a time
     (:func:`_block_deviations`), through the scalar API's own kernels and
     with its floating-point results. Each check records the latest of its
@@ -368,12 +368,9 @@ def cross_validate(draws: int, seed: int) -> ValidationReport:
         points, rows, eigs = [], [], []
         for _ in range(min(_BLOCK_DRAWS, draws - lo)):
             params, t = _draw_parameters(rng)
-            terms = _closed_form_terms(params, t)
-            eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-            _check_spectral_phase(eig, params, t)
             points.append((params, t))
-            rows.append((t, params.hbar, *terms))
-            eigs.append(eig)
+            rows.append((t, params.hbar, *_closed_form_terms(params, t)))
+            eigs.append(_spectral_entry(params, t))
         for name, devs in zip(_CHECK_NAMES, _block_deviations(np.array(rows).T, eigs)):
             i = len(devs) - 1 - int(np.argmax(devs[::-1]))  # the block's latest worst
             if devs[i] >= worst.get(name, (0.0,))[0]:

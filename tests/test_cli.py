@@ -54,9 +54,10 @@ def test_evolve_near_peak(capsys):
 
 
 def test_evolve_gap_is_the_two_route_gap(capsys):
-    # A minimum of C at e_m = 0, where the closed-form C cancels to 1 and
-    # the exact value is 1.00000002: C(numeric) comes from the spectral
-    # propagator, and the gap is between it and the closed form.
+    # A minimum of C at e_m = 0, where the exact value is 1.00000002 and
+    # cos(t root / 2) + 1 would cancel in the closed form: C(numeric) comes
+    # from the spectral propagator, and the gap is between it and the
+    # closed form, which keeps its digits there.
     params = CircuitParams(1.0, 0.0, 1.0)
     t = 1.5707963317948966
     code, out, _ = run_cli(
@@ -64,7 +65,7 @@ def test_evolve_gap_is_the_two_route_gap(capsys):
     )
     assert code == EXIT_OK
     assert "C(numeric) = 1.000000020000" in out
-    assert "C(closed)  = 1.000000000000" in out
+    assert "C(closed)  = 1.000000020000" in out
     spectral = evolve(bell_state(BellLabel.PHI_PLUS), numeric_propagator(params, t))
     c_numeric = l1_coherence(density_matrix(spectral))
     closed = closed_form_coherence(BellLabel.PHI_PLUS, params, t)
@@ -192,6 +193,14 @@ def test_csv_golden_bytes(argv, digest, tmp_path, capsys):
 def test_json_golden_bytes(argv, digest, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_verify_text_golden_bytes(capsys):
+    # 19 full blocks of 256 draws and a partial one, at the real block size.
+    code, out, _ = run_cli(["verify", "--samples", "5000", "--seed", "7"], capsys)
+    assert code == EXIT_OK
+    digest = "15b26e429bf30a80fc17937796157d883aef2356fb3cf5ce3b2858678179feb2"
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 

@@ -12,10 +12,10 @@ from tqcoh.evolution import (
     DensityMatrixError,
     StateVector,
     UnitaryMatrix,
-    _check_spectral_phase,
     _closed_form_rho,
     _closed_form_terms,
     _closed_form_u,
+    _spectral_entry,
     _spectral_synthesis,
     analytic_propagator,
     bell_state,
@@ -186,8 +186,7 @@ def test_closed_forms_give_the_same_bytes_for_a_scalar_and_an_array():
         assert rho.shape == (4, 4, 4)
         assert rho.tobytes() == _closed_form_rho(terms, t_array)[0].tobytes()
 
-        eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
-        _check_spectral_phase(eig, params, t_array)
+        eig = _spectral_entry(params, t_array)
         values, vectors = eig.eigenvalues, eig.eigenvectors
         coeffs = vectors.T @ bell_state(BellLabel.PHI_PLUS).amplitudes
         rows = _spectral_synthesis(values, vectors, t_array[:, np.newaxis], params.hbar, coeffs)
@@ -392,6 +391,18 @@ def test_closed_form_density_stationary_labels():
         assert rho.tobytes() == _PHI_MINUS_RHO.tobytes()
         rho = closed_form_density(BellLabel.PSI_MINUS, CANONICAL_PARAMS, t).matrix
         assert rho.tobytes() == _PSI_MINUS_RHO.tobytes()
+
+
+def test_every_closed_form_takes_a_float32_time_as_float64():
+    # The float32 t = 1.0 is exactly 1.0, so each closed form gives the
+    # bytes of a float t; float32 arithmetic broke rho's unit trace.
+    for label in BellLabel:
+        rho = closed_form_density(label, CANONICAL_PARAMS, np.float32(1.0)).matrix
+        assert rho.tobytes() == closed_form_density(label, CANONICAL_PARAMS, 1.0).matrix.tobytes()
+        c = closed_form_coherence(label, CANONICAL_PARAMS, np.float32(1.0))
+        assert type(c) is float and c == closed_form_coherence(label, CANONICAL_PARAMS, 1.0)
+    u = analytic_propagator(CANONICAL_PARAMS, np.float32(1.0)).matrix
+    assert u.tobytes() == analytic_propagator(CANONICAL_PARAMS, 1.0).matrix.tobytes()
 
 
 def test_closed_form_density_phi_plus_quarter_period():

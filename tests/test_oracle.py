@@ -48,6 +48,9 @@ _REDUCED_MAXIMUM_K = 2.0
 # Every row of a stationary state's series: the worst rows of two sweeps of
 # 1000 and 2000 benchmark-like 30,000-row series were 16.9 and 16.1 B0.
 _SERIES_ROW_K = 24.0
+# Draws of the closed-form C near its dips, where its worst of about 3900
+# such draws on three seeds was 0.73 B0.
+_NEAR_MINIMUM_DRAWS = 300
 
 # The Bell states as sign vectors; each state is the vector over sqrt(2).
 _SIGNS = {
@@ -336,6 +339,54 @@ def test_every_row_of_a_stationary_series_is_within_its_rounding_bound():
             k = series.gap / rounding_scale(params, series.times)
             worst = int(np.argmax(k))
             assert k[worst] <= _SERIES_ROW_K, (label, params, series.times[worst], k[worst])
+
+
+@pytest.mark.parametrize(
+    "params, t, printed",
+    [
+        (CircuitParams(1.0, 0.0), 1.5707963317948966, "1.000000020000"),
+        (
+            CircuitParams(-1.3061952744685321, 1.6434126107763255e-07),
+            1.2025738723280863,
+            "1.000000144097",
+        ),
+    ],
+    ids=["e_m-zero", "e_m-tiny"],
+)
+def test_the_closed_form_c_keeps_its_digits_at_a_minimum(params, t, printed):
+    # cos(t root / 2) is near -1 here, where cos(t root / 2) + 1 cancels: the
+    # closed form used to read 1.000000000000 and 1.000000145461.
+    truth = oracle(params, [t])[t][1]
+    series = time_series(BellLabel.PHI_PLUS, params, TimeGrid(0.0, t, 2))
+    assert f"{series.closed_form[-1]:.12f}" == f"{series.numeric[-1]:.12f}" == printed
+    for label in _OSCILLATING:
+        error = abs(closed_form_coherence(label, params, t) - truth[label][1])
+        assert error <= _REDUCED_K["closed_form_coherence"] * rounding_scale(params, t), error
+
+
+def near_minimum_draw(rng: np.random.Generator) -> tuple[CircuitParams, float]:
+    """A draw near a dip of C: hbar e_m small against 4 e_j, cos(t root / 2) near -1.
+
+    e_m is a ``verify`` draw's scaled down by up to 1e-6, and t lies a
+    relative 1e-9 to 0.3 before or after one of the first ten such times.
+    """
+    e_j, e_m = rng.uniform(-5.0, 5.0, 2)
+    hbar = (0.5, 1.0, 2.0)[rng.integers(3)]
+    params = CircuitParams(e_j, e_m * 10.0 ** -rng.uniform(0.0, 6.0), hbar)
+    t_dip = (2 * int(rng.integers(10)) + 1) * 2.0 * math.pi / scaled_energies(params)[0]
+    offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, math.log10(0.3))
+    return params, t_dip * (1.0 + offset)
+
+
+def test_the_closed_form_c_is_within_its_k_near_its_minima():
+    rng = np.random.default_rng(10)
+    for _ in range(_NEAR_MINIMUM_DRAWS):
+        params, t = near_minimum_draw(rng)
+        truth = oracle(params, [t])[t]
+        error = float(max(route_errors("closed_form_coherence", params, t, *truth)))
+        assert error <= THRESHOLD, (params, t, error)
+        bound = _REDUCED_K["closed_form_coherence"] * rounding_scale(params, t)
+        assert error <= bound, (params, t, error / bound)
 
 
 def test_c_numeric_is_right_at_a_minimum_of_c():

@@ -49,6 +49,18 @@ def test_time_grid_validation():
     assert times[0] == 0.0 and times[-1] == 10.0 and len(times) == 11
 
 
+def test_time_grid_takes_float32_ends_as_float64():
+    # float32 ends used to leak float32 times into the numeric column, with
+    # a gap of 7e-8 at the canonical point.
+    grid = TimeGrid(np.float32(0), np.float32(10), 5)
+    assert type(grid.t_start) is float and type(grid.t_end) is float
+    series = time_series(BellLabel.PHI_PLUS, CANONICAL_PARAMS, grid)
+    assert series.times.dtype == series.numeric.dtype == np.float64
+    reference = time_series(BellLabel.PHI_PLUS, CANONICAL_PARAMS, TimeGrid(0.0, 10.0, 5))
+    assert series.numeric.tobytes() == reference.numeric.tobytes()
+    assert series.gap.max() <= 1e-12
+
+
 # ----------------------------------------------------------------- series
 
 

@@ -31,9 +31,11 @@ from tqcoh.model import CircuitParams, build_hamiltonian_tensor
 from tqcoh.scan import (
     THRESHOLD,
     CheckResult,
+    TimeGrid,
     ValidationReport,
     _draw_parameters,
     cross_validate,
+    time_series,
 )
 
 BLOCK = 8
@@ -92,7 +94,7 @@ def spectrum_deviations(draws: int, seed: int) -> list[float]:
     out = []
     for _ in range(draws):
         params, _ = _draw_parameters(rng)
-        eig = scan_module.hermitian_eigensystem(build_hamiltonian_tensor(params))
+        eig = evolution_module.hermitian_eigensystem(build_hamiltonian_tensor(params))
         out.append(spectrum_deviation(eig.eigenvalues, params))
     return out
 
@@ -126,8 +128,8 @@ def test_each_draw_makes_18_certificates_and_one_eigensolve(small_blocks, monkey
     for name in ("UnitaryMatrix", "StateVector", "DensityMatrix"):
         cls = getattr(evolution_module, name)
         monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
-    eigensolve = counted("eigensolve", scan_module.hermitian_eigensystem)
-    monkeypatch.setattr(scan_module, "hermitian_eigensystem", eigensolve)
+    eigensolve = counted("eigensolve", evolution_module.hermitian_eigensystem)
+    monkeypatch.setattr(evolution_module, "hermitian_eigensystem", eigensolve)
     draws = 2 * BLOCK + 3  # two full blocks and a partial one
     cross_validate(draws, 5)
     assert calls == {
@@ -139,20 +141,28 @@ def test_each_draw_makes_18_certificates_and_one_eigensolve(small_blocks, monkey
 
 
 def _scale_eigenvalues(monkeypatch):
-    """Make the spectral route's eigenvalues wrong by a factor 1 + 1e-6."""
-    true_eigensystem = scan_module.hermitian_eigensystem
+    """Make the spectral route's eigenvalues wrong by a factor 1 + 1e-6.
+
+    One patch reaches every spectral caller: each enters through
+    ``evolution._spectral_entry``.
+    """
+    true_eigensystem = evolution_module.hermitian_eigensystem
 
     def corrupted(h):
         eig = true_eigensystem(h)
         return EigenSystem(eig.eigenvalues * (1.0 + 1e-6), eig.eigenvectors)
 
-    monkeypatch.setattr(scan_module, "hermitian_eigensystem", corrupted)
-    # The reference loop reaches the eigensolve through numeric_propagator.
     monkeypatch.setattr(evolution_module, "hermitian_eigensystem", corrupted)
 
 
 def test_cross_validate_flags_corrupted_spectrum(small_blocks, monkeypatch, capsys):
+    params, t, grid = CircuitParams(0.5, 1.5), 7.0, TimeGrid(0.0, 7.0, 5)
+    u = numeric_propagator(params, t).matrix
+    c_numeric = time_series(BellLabel.PHI_PLUS, params, grid).numeric
     _scale_eigenvalues(monkeypatch)
+    # The propagator and the series move with the eigensolve that cross_validate uses.
+    assert np.abs(numeric_propagator(params, t).matrix - u).max() > 1e-9
+    assert np.abs(time_series(BellLabel.PHI_PLUS, params, grid).numeric - c_numeric).max() > 1e-9
     report = cross_validate(20, 42)
     assert report == reference_cross_validate(20, 42)
     assert not report.passed
