@@ -11,8 +11,9 @@ independent routes:
   gives the identity at e_j = e_m = 0 without a special case;
 * :func:`numeric_propagator` synthesises U(t) from the spectral
   decomposition, U = sum_j exp(-i lambda_j t / hbar) |v_j><v_j|, with
-  :func:`_spectral_synthesis`. Each route checks its phase before numpy
-  forms it, in its one entry: :func:`_closed_form_terms` or :func:`_spectral_entry`.
+  :func:`_spectral_synthesis`. Each route checks its phase with
+  :func:`_check_phase` before numpy forms it, in its one entry:
+  :func:`_closed_form_terms` or :func:`_spectral_entry`.
 
 On top of these sit the four Bell states, their propagated density
 matrices, and the closed-form density trajectories for each Bell input.
@@ -30,12 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import EigenSystem, as_complex_matrix, hermitian_eigensystem
-from .model import (
-    CircuitParams,
-    build_hamiltonian_tensor,
-    check_phase,
-    scaled_energies,
-)
+from .model import CircuitParams, build_hamiltonian_tensor, scaled_energies
 
 __all__ = [
     "BellLabel",
@@ -171,6 +167,27 @@ def bell_state(label: BellLabel) -> StateVector:
     return _BELL_STATES[label]
 
 
+def _check_phase(params: CircuitParams, t, rate: float, hbar: float = 1.0) -> None:
+    """Raise ValueError unless the phase |t| * rate / hbar is finite for every t.
+
+    One path for a scalar t or an array: one max reduction, then the product
+    on Python floats, which overflow to inf without a warning. An inf or NaN
+    t always fails; the message names the first bad t.
+    """
+    # numpy divides _spectral_synthesis's complex phase by hbar as a product
+    # with 1 / hbar, so the check forms (|t| * rate) * (1 / hbar) too.
+    inverse = 1.0 / hbar
+    t = np.asarray(t, dtype=float)
+    if math.isfinite(float(np.abs(t).max(initial=0.0)) * rate * inverse):
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = t.flat[np.argmin(np.isfinite(np.abs(t) * rate * inverse))]
+    raise ValueError(
+        f"coherence is not finite at t = {float(t):.12g}"
+        f" (e_j={params.e_j!r}, e_m={params.e_m!r}, hbar={params.hbar!r})"
+    )
+
+
 def _closed_form_terms(params: CircuitParams, t) -> tuple[float, ...]:
     """(root, e_j / root, hbar e_m / root, hbar e_m, (e_j / root)^2, (hbar e_m / root)^2).
 
@@ -180,7 +197,7 @@ def _closed_form_terms(params: CircuitParams, t) -> tuple[float, ...]:
     ``scan.cross_validate`` block see the same bits.
     """
     root, jr, mr = scaled_energies(params)
-    check_phase(params, t, root)
+    _check_phase(params, t, root)
     return root, jr, mr, params.hbar * params.e_m, jr**2, mr**2
 
 
@@ -227,7 +244,7 @@ def _spectral_entry(params: CircuitParams, t) -> EigenSystem:
     """
     eig = hermitian_eigensystem(build_hamiltonian_tensor(params))
     values = eig.eigenvalues
-    check_phase(params, t, max(-float(values[0]), float(values[-1])), params.hbar)
+    _check_phase(params, t, max(-float(values[0]), float(values[-1])), params.hbar)
     return eig
 
 

@@ -114,24 +114,3 @@ def scaled_energies(params: CircuitParams) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     return root, params.e_j / root, params.hbar * params.e_m / root
 
-
-def check_phase(params: CircuitParams, t, rate: float, hbar: float = 1.0) -> None:
-    """Raise ValueError unless the phase |t| * rate / hbar is finite for every t.
-
-    Each route calls this before numpy forms its phase. A scalar t is
-    checked on Python floats, which overflow to inf without a warning; an
-    array takes one max reduction. An inf or NaN t always fails.
-    """
-    # numpy divides a complex phase by hbar as a product with 1 / hbar.
-    inverse = 1.0 / hbar
-    array = isinstance(t, np.ndarray) and t.ndim > 0
-    t_abs = float(np.abs(t).max(initial=0.0)) if array else abs(float(t))
-    if math.isfinite(t_abs * rate * inverse):
-        return
-    if array:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = t.flat[np.argmin(np.isfinite(np.abs(t) * rate * inverse))]
-    raise ValueError(
-        f"coherence is not finite at t = {float(t):.12g}"
-        f" (e_j={params.e_j!r}, e_m={params.e_m!r}, hbar={params.hbar!r})"
-    )

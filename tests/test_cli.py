@@ -196,11 +196,46 @@ def test_json_golden_bytes(argv, digest, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_verify_text_golden_bytes(capsys):
-    # 19 full blocks of 256 draws and a partial one, at the real block size.
-    code, out, _ = run_cli(["verify", "--samples", "5000", "--seed", "7"], capsys)
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            # 19 full blocks of 256 draws and a partial one, at the real block size.
+            ["verify", "--samples", "5000", "--seed", "7"],
+            "15b26e429bf30a80fc17937796157d883aef2356fb3cf5ce3b2858678179feb2",
+        ),
+        (
+            ["verify", "--samples", "1000", "--seed", "42"],
+            "b04dd7d28524a5f70b4e947926f28439d5a63b91a371b7c9ada2663e57d81ed6",
+        ),
+        (
+            # The README's evolve example.
+            ["evolve", "--state", "phi+", "--t", "1.7346"],
+            "a7f0722a951369b9281a192200261aba9e7a59eafa8a60730c064e6aa35c58cb",
+        ),
+        (
+            # Spectral bits at an hbar that is not a power of two.
+            ["evolve", "--state", "psi+", "--ej", "1.3", "--em=-0.7", "--hbar", "1.7",
+             "--t", "12.5"],
+            "453a78837db9c69b3843db9797fecaca0f83a00cbef66922b06daadb43c57e9d",
+        ),
+        (
+            # The README's optimize examples.
+            ["optimize", "--state", "phi+", "--t-min", "0", "--t-max", "10",
+             "--objective", "maximize"],
+            "7ed201b4bf7a7bb07807feaeef6c6147bd9dacbd06d811811653483fb576e483",
+        ),
+        (
+            ["optimize", "--state", "phi+", "--ej", "0", "--objective", "stabilize"],
+            "86b29d22a4ff9981774146b3cf902659c4fa8c88b84bb1d024d8e8496b78d396",
+        ),
+    ],
+    ids=["verify-seed-7", "verify-seed-42", "evolve", "evolve-hbar", "optimize-maximize",
+         "optimize-stabilize"],
+)
+def test_text_golden_bytes(argv, digest, capsys):
+    code, out, _ = run_cli(argv, capsys)
     assert code == EXIT_OK
-    digest = "15b26e429bf30a80fc17937796157d883aef2356fb3cf5ce3b2858678179feb2"
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 

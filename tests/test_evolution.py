@@ -12,6 +12,7 @@ from tqcoh.evolution import (
     DensityMatrixError,
     StateVector,
     UnitaryMatrix,
+    _check_phase,
     _closed_form_rho,
     _closed_form_terms,
     _closed_form_u,
@@ -153,6 +154,30 @@ def test_unitary_matrix_rejects_non_unitary():
 def test_propagator_rejects_non_finite_time():
     with pytest.raises(ValueError, match="finite"):
         analytic_propagator(CANONICAL_PARAMS, float("inf"))
+
+
+def test_check_phase():
+    p = CircuitParams(e_j=5.0, e_m=1.5, hbar=2.0)
+    # A Python float, a numpy scalar and a 0-d array take the same path.
+    for t in (1e307, np.float64(1e307), np.array(1e307)):
+        _check_phase(p, t, 10.0)
+    _check_phase(p, np.array([0.0, -1e307]), 10.0)
+    _check_phase(p, 1e300, 1e8, 2.0)  # 5e307 after dividing by hbar
+    message = r"not finite at t = {} \(e_j=5\.0, e_m=1\.5, hbar=2\.0\)"
+    for t in (-1e308, np.array(-1e308)):
+        with pytest.raises(ValueError, match=message.format(r"-1e\+308")):
+            _check_phase(p, t, 10.0)
+    # Arrays name their first bad t; no RuntimeWarning (an error here).
+    with pytest.raises(ValueError, match=message.format(r"5e\+307")):
+        _check_phase(p, np.array([0.0, 5e307, 1e308]), 10.0)
+    # The product t * rate overflows first, as in numpy's phase.
+    with pytest.raises(ValueError, match=message.format(r"1e\+300")):
+        _check_phase(p, 1e300, 1e10, 1e10)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=message.format(str(bad))):
+            _check_phase(p, bad, 0.0)
+        with pytest.raises(ValueError, match=message.format(str(bad))):
+            _check_phase(p, np.array([1.0, bad]), 0.0)
 
 
 def _in_box_and_extreme_points():

@@ -18,7 +18,6 @@ from tqcoh.model import (
     CircuitParams,
     InputError,
     build_hamiltonian_tensor,
-    check_phase,
     scaled_energies,
 )
 
@@ -178,27 +177,6 @@ def test_spectrum_sign_symmetries(p):
     flipped_m = _spectrum(CircuitParams(p.e_j, -p.e_m, p.hbar))
     # e_m -> -e_m maps the spectrum onto its negation (itself, sorted).
     assert np.max(np.abs(np.sort(-base) - flipped_m)) <= 1e-10
-
-
-def test_check_phase():
-    p = CircuitParams(e_j=5.0, e_m=1.5, hbar=2.0)
-    check_phase(p, 1e307, 10.0)
-    check_phase(p, np.array([0.0, -1e307]), 10.0)
-    check_phase(p, 1e300, 1e8, 2.0)  # 5e307 after dividing by hbar
-    message = r"not finite at t = {} \(e_j=5\.0, e_m=1\.5, hbar=2\.0\)"
-    with pytest.raises(ValueError, match=message.format(r"-1e\+308")):
-        check_phase(p, -1e308, 10.0)
-    # Arrays name their first bad t; no RuntimeWarning (an error here).
-    with pytest.raises(ValueError, match=message.format(r"5e\+307")):
-        check_phase(p, np.array([0.0, 5e307, 1e308]), 10.0)
-    # The product t * rate overflows first, as in numpy's phase.
-    with pytest.raises(ValueError, match=message.format(r"1e\+300")):
-        check_phase(p, 1e300, 1e10, 1e10)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=message.format(str(bad))):
-            check_phase(p, bad, 0.0)
-        with pytest.raises(ValueError, match=message.format(str(bad))):
-            check_phase(p, np.array([1.0, bad]), 0.0)
 
 
 def test_scaled_energies():
